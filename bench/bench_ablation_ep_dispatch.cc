@@ -69,10 +69,12 @@ void RealDispatchEquivalence() {
     EpFfnCache c1, c2;
     ShardContext ctx1{&a2a_group, rank};
     ShardContext ctx2{&ag_group, rank};
-    y_a2a[static_cast<size_t>(rank)] = EpFfnForward(
-        ctx1, model, EpDispatchMode::kAllToAll, w1, w3, w2, x_local, routing, &c1);
-    y_ag[static_cast<size_t>(rank)] = EpFfnForward(
-        ctx2, model, EpDispatchMode::kAllGatherScatter, w1, w3, w2, x_local, routing, &c2);
+    y_a2a[static_cast<size_t>(rank)] =
+        EpFfnForward(ctx1, model, EpDispatchMode::kAllToAll, EpPipelineConfig{}, w1, w3, w2,
+                     x_local, routing, &c1);
+    y_ag[static_cast<size_t>(rank)] =
+        EpFfnForward(ctx2, model, EpDispatchMode::kAllGatherScatter, EpPipelineConfig{}, w1,
+                     w3, w2, x_local, routing, &c2);
   });
   double max_diff = 0.0;
   for (int rank = 0; rank < n; ++rank) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace msmoe {
@@ -32,12 +33,38 @@ struct TimingStats {
   int reps = 0;
 };
 
+// Nearest-rank percentile of an ascending-sorted, non-empty sample set (an
+// exact sample value, no interpolation).
+inline double SortedPercentile(const std::vector<double>& sorted, double pct) {
+  const auto n = static_cast<double>(sorted.size());
+  const auto index = static_cast<size_t>(pct * (n - 1.0) + 0.5);
+  return sorted[std::min(index, sorted.size() - 1)];
+}
+
+// Median + p10/p90 summary of timed repetitions (seconds).
+inline TimingStats SummarizeSeconds(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  TimingStats stats;
+  stats.median_s = seconds[seconds.size() / 2];
+  stats.p10_s = SortedPercentile(seconds, 0.10);
+  stats.p90_s = SortedPercentile(seconds, 0.90);
+  stats.reps = static_cast<int>(seconds.size());
+  return stats;
+}
+
+// Wall-clock seconds of one fn() call.
+template <typename Fn>
+double TimedSeconds(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 // Wall-clock timing with warmup + N timed repetitions, so BENCH JSON
 // numbers are stable run-to-run (a single cold measurement can be 2x off:
 // first-touch page faults, frequency ramp, pool-thread spawn). Runs fn()
 // `warmup` times untimed, then `reps` timed times, and summarizes the timed
-// repetitions. Percentiles use the nearest-rank method on the sorted
-// samples (exact sample values, no interpolation).
+// repetitions.
 template <typename Fn>
 TimingStats TimedStatsOfN(int warmup, int reps, Fn&& fn) {
   for (int i = 0; i < warmup; ++i) {
@@ -46,23 +73,9 @@ TimingStats TimedStatsOfN(int warmup, int reps, Fn&& fn) {
   std::vector<double> seconds;
   seconds.reserve(static_cast<size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    seconds.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    seconds.push_back(TimedSeconds(fn));
   }
-  std::sort(seconds.begin(), seconds.end());
-  const auto rank = [&](double pct) {
-    const auto n = static_cast<double>(seconds.size());
-    auto index = static_cast<size_t>(pct * (n - 1.0) + 0.5);
-    return seconds[std::min(index, seconds.size() - 1)];
-  };
-  TimingStats stats;
-  stats.median_s = seconds[seconds.size() / 2];
-  stats.p10_s = rank(0.10);
-  stats.p90_s = rank(0.90);
-  stats.reps = static_cast<int>(seconds.size());
-  return stats;
+  return SummarizeSeconds(std::move(seconds));
 }
 
 // Median-only convenience over TimedStatsOfN (legacy callers).

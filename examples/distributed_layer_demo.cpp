@@ -71,8 +71,8 @@ int main() {
     RoutingResult routing = RouteTokens(logits, router);
     EpFfnCache ffn_cache;
     ffn_out[static_cast<size_t>(rank)] =
-        EpFfnForward(ffn_ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2, x_local,
-                     routing, &ffn_cache);
+        EpFfnForward(ffn_ctx, config, EpDispatchMode::kAllToAll, EpPipelineConfig{}, w1, w3,
+                     w2, x_local, routing, &ffn_cache);
   });
 
   std::printf("ran SP attention + EP FFN on %d thread ranks\n", n);

@@ -371,6 +371,9 @@ void CollectiveGroup::RecoveryBarrier(int member) {
 }
 
 void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& counts) {
+  if (aborted()) {
+    return;
+  }
   for (int dst = 0; dst < size_; ++dst) {
     counts_[static_cast<size_t>(member * size_ + dst)] = counts[static_cast<size_t>(dst)];
   }
@@ -378,7 +381,9 @@ void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& coun
 
 Status CollectiveGroup::TryExchangeScalars(int member, double value,
                                            std::vector<double>* out) {
-  scalars_[static_cast<size_t>(member)] = value;
+  if (!aborted()) {  // see PublishSend
+    scalars_[static_cast<size_t>(member)] = value;
+  }
   MSMOE_RETURN_IF_ERROR(SyncPoint(member));
   *out = scalars_;
   AccountOnce(member, RingVolume(sizeof(double)));

@@ -334,8 +334,14 @@ class CollectiveGroup {
     return static_cast<const T*>(send_slots_[static_cast<size_t>(src)]);
   }
 
+  // The Publish* writes are skipped on an aborted group: a member the abort
+  // released early from an earlier op's barrier must not overwrite slots a
+  // peer may still be reading for that op. The SyncPoint that follows
+  // reports the abort.
   void PublishSend(int member, const void* ptr) {
-    send_slots_[static_cast<size_t>(member)] = ptr;
+    if (!aborted()) {
+      send_slots_[static_cast<size_t>(member)] = ptr;
+    }
   }
   void PublishCounts(int member, const std::vector<int64_t>& counts);
   int64_t CountAt(int src, int dst) const {

@@ -15,18 +15,24 @@
 #include "src/comm/communicator.h"
 #include "src/core/exec_graph.h"
 #include "src/model/grouped_gemm.h"
+#include "src/numerics/quantize.h"
 #include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
 namespace {
 
-EpPipelineConfig g_pipeline_config;
-
-// Same expression as SwiGlu in tensor_ops.cc — the pipelined path applies
+// Same expression as SwiGlu in tensor_ops.cc — the chunked forward applies
 // it per expert row range and must stay bitwise identical to the
-// whole-tensor call the blocking path makes.
+// whole-tensor call rematerialization makes.
 inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+// The FP8 dispatch wire format: E4M3 codes, one scale per token.
+QuantConfig DispatchQuant() {
+  QuantConfig quant;
+  quant.granularity = QuantGranularity::kPerToken;
+  return quant;
+}
 
 // Workspace-backed int64 scratch (tags are literals; buffers are grow-only
 // and thread-persistent, so the steady state allocates nothing).
@@ -111,7 +117,7 @@ std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(
   const int C = cache.pipeline_chunks;
   const int64_t total_send = static_cast<int64_t>(cache.send_token.size());
   const bool fp8 = cache.fp8_wire;
-  const QuantConfig quant = cache.wire_quant;
+  const QuantConfig quant = DispatchQuant();
   const int64_t row_bytes = h + static_cast<int64_t>(sizeof(float));
   Workspace& ws = ThreadWorkspace();
   scratch->recv_f32.resize(static_cast<size_t>(C));
@@ -171,7 +177,8 @@ std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(
 // Delivers one landed dispatch chunk's rows into `dst` at their grouped
 // positions (dequantizing on the fly in FP8 mode).
 Status ScatterChunkRows(const EpFfnCache& cache, PipelineScratch* scratch, int c,
-                        int64_t h, bool fp8, const QuantConfig& quant, Tensor* dst) {
+                        int64_t h, bool fp8, Tensor* dst) {
+  const QuantConfig quant = DispatchQuant();
   const int64_t row_bytes = h + static_cast<int64_t>(sizeof(float));
   const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
   const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
@@ -211,7 +218,6 @@ std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
                                  PipelineScratch* scratch, int64_t h, bool fp8,
                                  Tensor* dst) {
   const int C = cache.pipeline_chunks;
-  const QuantConfig quant = cache.wire_quant;
   const EpFfnCache* cache_p = &cache;
   std::vector<int> scatter_ids(static_cast<size_t>(C), -1);
   int prev_wait = -1;
@@ -231,8 +237,8 @@ std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
     }
     const int scatter = graph->AddCompute(
         "ep_scatter[" + std::to_string(c) + "]",
-        [cache_p, scratch, dst, c, h, fp8, quant] {
-          return ScatterChunkRows(*cache_p, scratch, c, h, fp8, quant, dst);
+        [cache_p, scratch, dst, c, h, fp8] {
+          return ScatterChunkRows(*cache_p, scratch, c, h, fp8, dst);
         },
         deps, "scatter");
     scatter_ids[static_cast<size_t>(c)] = scatter;
@@ -242,16 +248,15 @@ std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
   return scatter_ids;
 }
 
-// The fused kAllToAll forward (§4.2, Fig 7). Bitwise identical to the
-// blocking reference: chunks partition the local token range in ascending
-// order so every per-destination send order, the grouped receive order,
-// and each token's combine accumulation order match the legacy path
-// exactly — only the schedule changes.
-Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
-                           const EpPipelineConfig& pipe, const std::vector<Tensor>& w1,
-                           const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
-                           const Tensor& x_local, const RoutingResult& routing,
-                           EpFfnCache* cache) {
+// The fused kAllToAll forward (§4.2, Fig 7). Bitwise identical for every
+// chunk count: chunks partition the local token range in ascending order,
+// so every per-destination send order, the grouped receive order, and each
+// token's combine accumulation order are those of C=1 — only the schedule
+// changes.
+Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
+                  const EpPipelineConfig& pipe, const std::vector<Tensor>& w1,
+                  const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
+                  const Tensor& x_local, const RoutingResult& routing, EpFfnCache* cache) {
   const int n = ctx.size();
   const int64_t e_local = config.num_experts / n;
   const int64_t h = config.hidden;
@@ -262,14 +267,10 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
 
   cache->pipeline_chunks = C;
   cache->fp8_wire = pipe.fp8_dispatch;
-  cache->wire_quant = pipe.quant;
-  cache->wire_quant.granularity = QuantGranularity::kPerToken;
-  cache->recv_to_sorted.clear();  // pipelined caches use chunk_to_sorted
 
   // --- Counting-sort permutation: one O(T·k) counting pass plus one
-  // cursor pass replace the legacy per-(dst, token) rescans. Send order is
-  // (chunk, dst, token asc, slot asc); per destination the concatenated
-  // chunks reproduce the legacy token-ascending order. ---
+  // cursor pass. Send order is (chunk, dst, token asc, slot asc); per
+  // destination the concatenated chunks are in token-ascending order. ---
   const ChunkLayout tokens(t_local, C, /*quantum=*/1, /*pad_chunks=*/true);
   cache->send_chunk_counts.assign(static_cast<size_t>(C) * static_cast<size_t>(n), 0);
   const auto copy_dst = [&](int64_t idx) -> int {  // -1 = dropped copy
@@ -299,13 +300,6 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     cache->send_chunk_base[static_cast<size_t>(c)] = seg_off[static_cast<int64_t>(c) * n];
   }
   const int64_t total_send = seg_off[num_segs];
-  cache->send_counts.assign(static_cast<size_t>(n), 0);
-  for (int c = 0; c < C; ++c) {
-    for (int d = 0; d < n; ++d) {
-      cache->send_counts[static_cast<size_t>(d)] +=
-          cache->send_chunk_counts[static_cast<size_t>(c * n + d)];
-    }
-  }
   cache->send_token.assign(static_cast<size_t>(total_send), 0);
   cache->send_slot.assign(static_cast<size_t>(total_send), 0);
   int64_t* send_expert = WsInts("ep.send_expert", total_send);
@@ -329,9 +323,9 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   }
 
   // --- One metadata all-to-all: per destination the C per-chunk row
-  // counts followed by every row's expert id in send order. Replaces the
-  // legacy separate id exchange and lets the receiver build the full
-  // grouped permutation before any row data lands. ---
+  // counts followed by every row's expert id in send order, so the
+  // receiver builds the full grouped permutation before any row data
+  // lands. ---
   int64_t* meta_send = WsInts("ep.meta_send", static_cast<int64_t>(n) * C + total_send);
   std::vector<int64_t> meta_counts(static_cast<size_t>(n));
   {
@@ -352,20 +346,22 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       meta_counts[static_cast<size_t>(d)] = at - mark;
     }
   }
-  // Same uniform-t_local capacity assumption as the legacy id exchange.
+  // Capacity assumes every rank holds t_local tokens (uniform sharding).
   int64_t* meta_recv = WsInts("ep.meta_recv", static_cast<int64_t>(n) * (C + t_local * k));
   std::vector<int64_t> meta_recv_counts;
   ctx.comm->AllToAllV(ctx.rank, meta_send, meta_counts, meta_recv, &meta_recv_counts);
   Tensor y_local({t_local, h});
   if (!ctx.comm->GroupStatus().ok() ||
       meta_recv_counts.size() != static_cast<size_t>(n)) {
-    return y_local;  // degraded group: match the collectives' zero-fill
+    // Degraded group: match the collectives' zero-fill. No rows were
+    // grouped, which is the row count EpFfnRematerialize zero-fills at.
+    cache->local_offsets.assign(static_cast<size_t>(e_local) + 1, 0);
+    return y_local;
   }
 
-  // --- Receiver tables. Legacy receive order is source-major; within one
-  // source, chunk-ascending equals token-ascending, so enumerating
-  // (src, chunk, row) reconstructs exactly the blocking path's receive
-  // order — the grouped row numbering is bitwise-compatible. ---
+  // --- Receiver tables. Grouped rows are numbered (expert, src, token
+  // asc); within one source, chunk-ascending equals token-ascending, so
+  // enumerating (src, chunk, row) yields that numbering for any C. ---
   cache->recv_counts.assign(static_cast<size_t>(n), 0);
   cache->recv_chunk_counts.assign(static_cast<size_t>(C) * static_cast<size_t>(n), 0);
   int64_t* src_off = WsInts("ep.meta_src_off", n);
@@ -470,8 +466,8 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // combine_pack ops — all on the calling rank thread, in declared order,
   // identical on every rank — so the per-rank Start FIFO contract of
   // async_comm.h holds exactly as in eager code. Within a chunk the send
-  // order is (dst, token, slot), so each token's combine accumulation
-  // keeps the legacy (owner rank asc, slot asc) order — bitwise identical.
+  // order is (dst, token, slot), so each token's combine accumulation runs
+  // in (owner rank asc, slot asc) order for every C.
   cache->ffn_in = Tensor::Uninit({total_recv, h});
   cache->fc1_out = Tensor::Uninit({total_recv, f});
   cache->fc3_out = Tensor::Uninit({total_recv, f});
@@ -493,7 +489,6 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     Communicator* comm = ctx.comm;
     const int rank = ctx.rank;
     const bool fp8 = cache->fp8_wire;
-    const QuantConfig quant = cache->wire_quant;
     std::vector<int> pack_ids(static_cast<size_t>(C), -1);
     int prev_dwait = -1;
     int prev_s0 = -1;  // chains every stream-0 op in declared order
@@ -512,9 +507,8 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       const int scatter = graph.AddCompute(
           "ep_scatter[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, c, h, fp8, quant] {
-            return ScatterChunkRows(*cache_p, scratch_p, c, h, fp8, quant,
-                                    &cache_p->ffn_in);
+          [cache_p, scratch_p, c, h, fp8] {
+            return ScatterChunkRows(*cache_p, scratch_p, c, h, fp8, &cache_p->ffn_in);
           },
           scatter_deps, "scatter");
       const int ffn = graph.AddCompute(
@@ -674,24 +668,40 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
 
 // Backward of the fused pipeline: both wire directions run as per-chunk
 // handles on exec graphs (FP32 — only the forward dispatch optionally
-// quantizes). Accumulation orders match the legacy backward exactly.
-EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& config,
-                                const std::vector<Tensor>& w1,
-                                const std::vector<Tensor>& w3,
-                                const std::vector<Tensor>& w2, const Tensor& dy_local,
-                                const RoutingResult& routing, const EpFfnCache& cache) {
+// quantizes). Per token, dx accumulates in (owner rank asc, slot asc)
+// order, as the forward's combine does.
+EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
+                       const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
+                       const std::vector<Tensor>& w2, const Tensor& dy_local,
+                       const RoutingResult& routing, const EpFfnCache& cache) {
   const int n = ctx.size();
   const int64_t e_local = config.num_experts / n;
   const int64_t h = config.hidden;
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing.top_k;
   const int C = cache.pipeline_chunks;
-  const int64_t total_send = static_cast<int64_t>(cache.send_token.size());
-  const int64_t total_recv = cache.recv_chunk_base[static_cast<size_t>(C)];
 
   EpFfnGrads grads;
   grads.dcombine_local = Tensor({t_local, k});
   grads.dx_local = Tensor({t_local, h});
+  // What a failed group gets: full-shape zeros, like the forward's
+  // degraded output.
+  const auto zero_grads = [&] {
+    EpFfnGrads zeros;
+    zeros.dcombine_local = Tensor({t_local, k});
+    zeros.dx_local = Tensor({t_local, h});
+    for (int64_t e = ctx.rank * e_local; e < (ctx.rank + 1) * e_local; ++e) {
+      zeros.dw1.emplace_back(w1[static_cast<size_t>(e)].shape());
+      zeros.dw3.emplace_back(w3[static_cast<size_t>(e)].shape());
+      zeros.dw2.emplace_back(w2[static_cast<size_t>(e)].shape());
+    }
+    return zeros;
+  };
+  if (!ctx.comm->GroupStatus().ok()) {
+    return zero_grads();  // the forward may have stopped before its receive tables
+  }
+  const int64_t total_send = static_cast<int64_t>(cache.send_token.size());
+  const int64_t total_recv = cache.recv_chunk_base[static_cast<size_t>(C)];
 
   Workspace& ws = ThreadWorkspace();
   PipelineScratch& scratch = TlsScratch();
@@ -740,7 +750,7 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
     const ExecResult result = graph.Execute(/*num_streams=*/2);
     handles.clear();
     if (!result.status.ok()) {
-      return grads;
+      return zero_grads();
     }
   }
 
@@ -830,8 +840,11 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
       prev_wait = wait;
       prev_acc = acc;
     }
-    graph.Execute(/*num_streams=*/2);
+    const ExecResult result = graph.Execute(/*num_streams=*/2);
     ret_handles.clear();
+    if (!result.status.ok()) {
+      return zero_grads();
+    }
   }
   return grads;
 }
@@ -848,156 +861,27 @@ const char* EpDispatchModeName(EpDispatchMode mode) {
   return "unknown";
 }
 
-EpPipelineConfig GetEpPipelineConfig() { return g_pipeline_config; }
-
-void SetEpPipelineConfig(EpPipelineConfig config) {
-  config.num_chunks = std::max(1, std::min(config.num_chunks, 64));
-  config.quant.granularity = QuantGranularity::kPerToken;
-  g_pipeline_config = config;
-}
-
 Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispatchMode mode,
-                    const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
-                    const std::vector<Tensor>& w2, const Tensor& x_local,
-                    const RoutingResult& routing_local, EpFfnCache* cache) {
+                    const EpPipelineConfig& pipeline, const std::vector<Tensor>& w1,
+                    const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
+                    const Tensor& x_local, const RoutingResult& routing_local,
+                    EpFfnCache* cache) {
   const int n = ctx.size();
-  const int64_t experts = config.num_experts;
-  MSMOE_CHECK_EQ(experts % n, 0);
-  const int64_t e_local = experts / n;
-  const int64_t h = config.hidden;
+  MSMOE_CHECK_EQ(config.num_experts % n, 0);
   const int64_t t_local = x_local.dim(0);
-  const int64_t k = routing_local.top_k;
   MSMOE_CHECK_EQ(routing_local.tokens, t_local);
-  const double start_us = ctx.comm->telemetry().NowUs();
-
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-
   if (mode == EpDispatchMode::kAllToAll) {
-    const EpPipelineConfig pipe = GetEpPipelineConfig();
-    if (pipe.enabled) {
-      return PipelinedForwardA2A(ctx, config, pipe, w1, w3, w2, x_local, routing_local,
-                                 cache);
-    }
-    cache->pipeline_chunks = 0;  // blocking reference: backward takes the legacy path
-
-    // --- Dispatch: pack kept token copies by destination (expert owner). ---
-    cache->send_counts.assign(static_cast<size_t>(n), 0);
-    cache->send_token.clear();
-    cache->send_slot.clear();
-    std::vector<int64_t> send_expert;
-    std::vector<float> send_rows;
-    for (int dst = 0; dst < n; ++dst) {
-      for (int64_t t = 0; t < t_local; ++t) {
-        for (int64_t slot = 0; slot < k; ++slot) {
-          if (routing_local.dropped[static_cast<size_t>(t * k + slot)] != 0) {
-            continue;
-          }
-          const int64_t e = routing_local.expert_index[static_cast<size_t>(t * k + slot)];
-          if (e / e_local != dst) {
-            continue;
-          }
-          ++cache->send_counts[static_cast<size_t>(dst)];
-          cache->send_token.push_back(t);
-          cache->send_slot.push_back(slot);
-          send_expert.push_back(e);
-          const float* row = x_local.data() + t * h;
-          send_rows.insert(send_rows.end(), row, row + h);
-        }
-      }
-    }
-    std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-    for (int dst = 0; dst < n; ++dst) {
-      row_send_counts[static_cast<size_t>(dst)] =
-          cache->send_counts[static_cast<size_t>(dst)] * h;
-    }
-
-    // Exchange expert ids, then rows.
-    std::vector<int64_t> recv_expert(static_cast<size_t>(t_local * k) * n);
-    std::vector<int64_t> id_recv_counts;
-    ctx.comm->AllToAllV(ctx.rank, send_expert.data(), cache->send_counts,
-                         recv_expert.data(), &id_recv_counts);
-    cache->recv_counts = id_recv_counts;
-    int64_t total_recv = 0;
-    for (int64_t c : cache->recv_counts) {
-      total_recv += c;
-    }
-    recv_expert.resize(static_cast<size_t>(total_recv));
-    std::vector<float> recv_rows(static_cast<size_t>(total_recv * h));
-    std::vector<int64_t> row_recv_counts;
-    ctx.comm->AllToAllV(ctx.rank, send_rows.data(), row_send_counts, recv_rows.data(),
-                         &row_recv_counts);
-
-    // --- Group received rows by local expert (stable: source-rank order is
-    // preserved within each expert, the tile-friendly order of §4.2). ---
-    std::vector<int64_t> counts(static_cast<size_t>(e_local), 0);
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t e = recv_expert[static_cast<size_t>(i)] - ctx.rank * e_local;
-      MSMOE_CHECK_GE(e, 0);
-      MSMOE_CHECK_LT(e, e_local);
-      ++counts[static_cast<size_t>(e)];
-    }
-    cache->local_offsets.assign(static_cast<size_t>(e_local + 1), 0);
-    for (int64_t e = 0; e < e_local; ++e) {
-      cache->local_offsets[static_cast<size_t>(e + 1)] =
-          cache->local_offsets[static_cast<size_t>(e)] + counts[static_cast<size_t>(e)];
-    }
-    std::vector<int64_t> cursor(cache->local_offsets.begin(), cache->local_offsets.end() - 1);
-    cache->recv_to_sorted.assign(static_cast<size_t>(total_recv), 0);
-    cache->ffn_in = Tensor({total_recv, h});
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t e = recv_expert[static_cast<size_t>(i)] - ctx.rank * e_local;
-      const int64_t row = cursor[static_cast<size_t>(e)]++;
-      cache->recv_to_sorted[static_cast<size_t>(i)] = row;
-      std::copy(recv_rows.begin() + static_cast<int64_t>(i) * h,
-                recv_rows.begin() + (static_cast<int64_t>(i) + 1) * h,
-                cache->ffn_in.data() + row * h);
-    }
-
-    // --- Expert computation. ---
-    ExpertBlock block = RunExperts(cache->ffn_in, cache->local_offsets, w1_loc, w3_loc,
-                                   w2_loc, e_local);
-    cache->fc1_out = std::move(block.fc1);
-    cache->fc3_out = std::move(block.fc3);
-    cache->fc2_in = std::move(block.fc2_in);
-    cache->fc2_out = std::move(block.fc2_out);
-
-    // --- Combine: un-sort to receive order, send back, weighted sum. ---
-    std::vector<float> return_rows(static_cast<size_t>(total_recv * h));
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache->recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(cache->fc2_out.data() + row * h, cache->fc2_out.data() + (row + 1) * h,
-                return_rows.begin() + static_cast<int64_t>(i) * h);
-    }
-    std::vector<int64_t> return_send_counts(static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      return_send_counts[static_cast<size_t>(src)] =
-          cache->recv_counts[static_cast<size_t>(src)] * h;
-    }
-    const int64_t total_sent = static_cast<int64_t>(cache->send_token.size());
-    cache->returned_rows = Tensor({total_sent, h});
-    std::vector<int64_t> ignored;
-    ctx.comm->AllToAllV(ctx.rank, return_rows.data(), return_send_counts,
-                         cache->returned_rows.data(), &ignored);
-
-    Tensor y_local({t_local, h});
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache->send_token[static_cast<size_t>(i)];
-      const int64_t slot = cache->send_slot[static_cast<size_t>(i)];
-      const float weight = routing_local.combine_weight.At(t, slot);
-      const float* row = cache->returned_rows.data() + i * h;
-      float* out = y_local.data() + t * h;
-      for (int64_t c = 0; c < h; ++c) {
-        out[c] += weight * row[c];
-      }
-    }
-    RecordDispatchTelemetry(ctx, "ep_dispatch_fwd", /*chunks=*/1, cache->local_offsets,
-                            start_us);
-    return y_local;
+    return ForwardA2A(ctx, config, pipeline, w1, w3, w2, x_local, routing_local, cache);
   }
 
   // --- kAllGatherScatter ---
+  const int64_t e_local = config.num_experts / n;
+  const int64_t h = config.hidden;
+  const int64_t k = routing_local.top_k;
+  const double start_us = ctx.comm->telemetry().NowUs();
+  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
+  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
+  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
   const int64_t t_total = t_local * n;
   cache->x_all = Tensor({t_total, h});
   ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
@@ -1071,106 +955,21 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
                          const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
                          const Tensor& dy_local, const RoutingResult& routing_local,
                          const EpFfnCache& cache) {
+  if (mode == EpDispatchMode::kAllToAll) {
+    return BackwardA2A(ctx, config, w1, w3, w2, dy_local, routing_local, cache);
+  }
+
   const int n = ctx.size();
   const int64_t e_local = config.num_experts / n;
   const int64_t h = config.hidden;
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing_local.top_k;
-
-  if (mode == EpDispatchMode::kAllToAll && cache.pipeline_chunks > 0) {
-    return PipelinedBackwardA2A(ctx, config, w1, w3, w2, dy_local, routing_local, cache);
-  }
-
   const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
   const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
   const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
 
   EpFfnGrads grads;
   grads.dcombine_local = Tensor({t_local, k});
-
-  if (mode == EpDispatchMode::kAllToAll) {
-    const int64_t total_sent = static_cast<int64_t>(cache.send_token.size());
-    int64_t total_recv = 0;
-    for (int64_t c : cache.recv_counts) {
-      total_recv += c;
-    }
-
-    // Combine backward at the source: weight the incoming grad per copy and
-    // read off the combine-weight gradient.
-    std::vector<float> dreturned(static_cast<size_t>(total_sent * h));
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache.send_token[static_cast<size_t>(i)];
-      const int64_t slot = cache.send_slot[static_cast<size_t>(i)];
-      const float weight = routing_local.combine_weight.At(t, slot);
-      const float* dy_row = dy_local.data() + t * h;
-      const float* ret_row = cache.returned_rows.data() + i * h;
-      float dot = 0.0f;
-      for (int64_t c = 0; c < h; ++c) {
-        dreturned[static_cast<size_t>(i * h + c)] = weight * dy_row[c];
-        dot += dy_row[c] * ret_row[c];
-      }
-      grads.dcombine_local.At(t, slot) = dot;
-    }
-
-    // Ship per-copy grads to the expert owners (same pattern as dispatch).
-    std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-    for (int dst = 0; dst < n; ++dst) {
-      row_send_counts[static_cast<size_t>(dst)] =
-          cache.send_counts[static_cast<size_t>(dst)] * h;
-    }
-    std::vector<float> drecv(static_cast<size_t>(total_recv * h));
-    std::vector<int64_t> ignored;
-    ctx.comm->AllToAllV(ctx.rank, dreturned.data(), row_send_counts, drecv.data(),
-                         &ignored);
-
-    // Sort to grouped order and run the expert backward chain.
-    Tensor dfc2_out({total_recv, h});
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache.recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(drecv.begin() + static_cast<int64_t>(i) * h,
-                drecv.begin() + (static_cast<int64_t>(i) + 1) * h,
-                dfc2_out.data() + row * h);
-    }
-    GroupedGemmGrads fc2_grads =
-        GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets, w2_loc, e_local);
-    grads.dw2 = std::move(fc2_grads.dweights);
-    SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-    GroupedGemmGrads fc1_grads =
-        GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets, w1_loc,
-                            e_local);
-    GroupedGemmGrads fc3_grads =
-        GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets,
-                            w3_loc, e_local);
-    grads.dw1 = std::move(fc1_grads.dweights);
-    grads.dw3 = std::move(fc3_grads.dweights);
-    Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-
-    // Un-sort and return the input grads to the token owners.
-    std::vector<float> dffn_recv_order(static_cast<size_t>(total_recv * h));
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache.recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(dffn_in.data() + row * h, dffn_in.data() + (row + 1) * h,
-                dffn_recv_order.begin() + static_cast<int64_t>(i) * h);
-    }
-    std::vector<int64_t> return_counts(static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      return_counts[static_cast<size_t>(src)] = cache.recv_counts[static_cast<size_t>(src)] * h;
-    }
-    std::vector<float> dx_rows(static_cast<size_t>(total_sent * h));
-    ctx.comm->AllToAllV(ctx.rank, dffn_recv_order.data(), return_counts, dx_rows.data(),
-                         &ignored);
-
-    grads.dx_local = Tensor({t_local, h});
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache.send_token[static_cast<size_t>(i)];
-      const float* row = dx_rows.data() + static_cast<int64_t>(i) * h;
-      float* out = grads.dx_local.data() + t * h;
-      for (int64_t c = 0; c < h; ++c) {
-        out[c] += row[c];
-      }
-    }
-    return grads;
-  }
 
   // --- kAllGatherScatter ---
   const int64_t t_total = t_local * n;
@@ -1230,57 +1029,42 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
   const int64_t h = config.hidden;
   const int64_t t_local = x_local.dim(0);
 
-  if (cache->ffn_in.empty()) {
-    if (mode == EpDispatchMode::kAllToAll && cache->pipeline_chunks > 0) {
-      // Replay the pipelined chunked dispatch (re-quantizing in FP8 mode —
-      // per-token scales make the codes bitwise the forward's).
-      const int C = cache->pipeline_chunks;
-      const int64_t total_recv = cache->recv_chunk_base[static_cast<size_t>(C)];
+  if (mode == EpDispatchMode::kAllToAll) {
+    // On a failed group — possibly before the forward grouped any rows —
+    // the dropped fields come back zero-filled at the grouped row count the
+    // forward recorded.
+    const int64_t rows = cache->local_offsets.back();
+    bool ok = ctx.comm->GroupStatus().ok();
+    if (ok && cache->ffn_in.empty()) {
+      // Replay the chunked dispatch (re-quantizing in FP8 mode — per-token
+      // scales make the codes bitwise the forward's).
       PipelineScratch& scratch = TlsScratch();
       std::vector<std::unique_ptr<CommHandle>> handles =
           StartDispatchChunks(ctx, *cache, x_local, h, &scratch);
-      cache->ffn_in = Tensor::Uninit({total_recv, h});
+      Tensor ffn_in = Tensor::Uninit({rows, h});
       ExecGraph graph;
-      AddScatterChain(&graph, *cache, handles, &scratch, h, cache->fp8_wire,
-                      &cache->ffn_in);
-      graph.Execute(/*num_streams=*/2);
+      AddScatterChain(&graph, *cache, handles, &scratch, h, cache->fp8_wire, &ffn_in);
+      ok = graph.Execute(/*num_streams=*/2).status.ok();
       handles.clear();
-    } else if (mode == EpDispatchMode::kAllToAll) {
-      // Re-pack the rows this rank dispatched (send_token preserves the
-      // forward order) and replay the all-to-all.
-      const int64_t total_sent = static_cast<int64_t>(cache->send_token.size());
-      std::vector<float> send_rows(static_cast<size_t>(total_sent * h));
-      for (int64_t i = 0; i < total_sent; ++i) {
-        const int64_t t = cache->send_token[static_cast<size_t>(i)];
-        std::copy(x_local.data() + t * h, x_local.data() + (t + 1) * h,
-                  send_rows.begin() + i * h);
+      if (ok) {
+        cache->ffn_in = std::move(ffn_in);
       }
-      std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-      for (int dst = 0; dst < n; ++dst) {
-        row_send_counts[static_cast<size_t>(dst)] =
-            cache->send_counts[static_cast<size_t>(dst)] * h;
-      }
-      int64_t total_recv = 0;
-      for (int64_t c : cache->recv_counts) {
-        total_recv += c;
-      }
-      std::vector<float> recv_rows(static_cast<size_t>(total_recv * h));
-      std::vector<int64_t> ignored;
-      ctx.comm->AllToAllV(ctx.rank, send_rows.data(), row_send_counts, recv_rows.data(),
-                           &ignored);
-      cache->ffn_in = Tensor({total_recv, h});
-      for (int64_t i = 0; i < total_recv; ++i) {
-        const int64_t row = cache->recv_to_sorted[static_cast<size_t>(i)];
-        std::copy(recv_rows.begin() + i * h, recv_rows.begin() + (i + 1) * h,
-                  cache->ffn_in.data() + row * h);
-      }
-    } else {
-      if (cache->x_all.empty()) {
-        cache->x_all = Tensor({t_local * n, h});
-        ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
-      }
-      cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
     }
+    if (!ok) {
+      if (cache->ffn_in.empty()) {
+        cache->ffn_in = Tensor({rows, h});
+      }
+      if (cache->fc2_in.empty()) {
+        cache->fc2_in = Tensor({rows, config.ffn_hidden});
+      }
+      return;
+    }
+  } else if (cache->ffn_in.empty()) {
+    if (cache->x_all.empty()) {
+      cache->x_all = Tensor({t_local * n, h});
+      ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
+    }
+    cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
   }
   if (cache->fc2_in.empty()) {
     cache->fc2_in = SwiGlu(cache->fc1_out, cache->fc3_out);

@@ -11,27 +11,32 @@
 //                      2bsh(n-1)/n, identical to TP (Eq 4) but ring-friendly
 //                      (Fig 6/7).
 //
-// Rank r owns experts [r*E/n, (r+1)*E/n). Both modes produce bitwise-equal
-// results to the single-rank reference (same routing in, same combine out);
-// expert-weight gradients are complete on the owner rank (no extra sync).
+// Rank r owns experts [r*E/n, (r+1)*E/n); expert-weight gradients are
+// complete on the owner rank (no extra sync).
 //
 // The kAllToAll path is a fused pipeline (the paper's §4.2 fused dispatch
 // kernels, Fig 7): a counting-sort permutation built in one O(T·k) pass
-// replaces the per-token pack/sort loops, the wire runs as per-chunk
+// replaces per-token pack/sort loops, the wire runs as per-chunk
 // StartAllToAllV handles recorded on an ExecGraph so packing/quantizing
 // chunk i+1 overlaps the transfer of chunk i in both directions, and each
-// local expert's FC1→SwiGLU→FC2 chain fires as soon as its last input chunk
-// lands — expert compute hides the remaining dispatch wire. An optional
-// quantize-on-pack FP8 mode calls QuantizeInto per row straight into the
-// send staging (codes + per-token scale share one wire payload) instead of
-// running a separate quantization pre-pass. The pipeline is bitwise
-// identical to the blocking reference for every chunk count and worker
-// count: chunks partition the LOCAL token range in ascending order, so the
-// receiver reconstructs exactly the legacy source-major grouped row order,
-// and each token's combine accumulation keeps the legacy (owner rank asc,
-// slot asc) order. SetEpPipelineConfig toggles the pipeline; the blocking
-// reference path is kept both as the fallback and as the baseline the
-// property tests and bench_fig7_dispatch pin the pipeline against.
+// chunk's expert FC1→SwiGLU→FC2 chain runs while the next chunk is on the
+// wire. An optional quantize-on-pack FP8 mode calls QuantizeInto per row
+// straight into the send staging (codes + per-token scale share one wire
+// payload) instead of running a separate quantization pre-pass.
+//
+// Numerics. Chunks partition the LOCAL token range in ascending order, so
+// the grouped row order (expert, source rank, token asc) and each token's
+// combine order (owner rank asc, slot asc) do not depend on the chunk count
+// or the worker count: every output, gradient and rematerialized ffn_in is
+// bitwise the C=1 run's. Against the single-rank reference (one grouped
+// GEMM over all tokens, combine summed in slot order), dcombine and the
+// expert-weight gradients are bitwise for any top-k — within an expert the
+// grouped row order is the reference's global token order. y and dx are
+// bitwise only for top_k <= 2: a token's copies are summed in owner-rank
+// order here and in slot order there, and two float terms commute while
+// three need not.
+// kAllGatherScatter matches the reference to float reassociation (its
+// reduce-scatter combine sums per-rank partials).
 #ifndef MSMOE_SRC_PARALLEL_EP_FFN_H_
 #define MSMOE_SRC_PARALLEL_EP_FFN_H_
 
@@ -40,7 +45,6 @@
 
 #include "src/model/config.h"
 #include "src/model/router.h"
-#include "src/numerics/quantize.h"
 #include "src/parallel/sp_attention.h"
 #include "src/tensor/tensor.h"
 
@@ -53,24 +57,18 @@ enum class EpDispatchMode {
 
 const char* EpDispatchModeName(EpDispatchMode mode);
 
-// Process-wide configuration of the fused kAllToAll dispatch pipeline. Set
-// it before entering the ranks (RunOnRanks); every rank must see the same
-// values — the chunk count shapes the collective sequence. num_chunks is
-// clamped to [1, 64]. fp8_dispatch quantizes the forward dispatch wire
-// (activations) per token, fusing QuantizeInto into the pack; the combine
-// and backward wires stay FP32 (the reference the FP8 path is tested
-// against applies the same per-row round trip). quant.granularity is
-// forced to kPerToken — the only granularity whose scales are per-row and
-// therefore identical whether rows are quantized packed or in place.
+// Per-call configuration of the kAllToAll pipeline; kAllGatherScatter
+// ignores it. Every rank of a group must pass the same values — the chunk
+// count shapes the collective sequence. num_chunks is clamped to [1, 64].
+// fp8_dispatch quantizes the forward dispatch wire (activations) to E4M3
+// with one scale per token, fusing QuantizeInto into the pack; the combine
+// and backward wires stay FP32. Per-token is the only granularity whose
+// scales are row-local, so quantizing packed rows equals quantizing x in
+// place.
 struct EpPipelineConfig {
-  bool enabled = true;
   int num_chunks = 4;
   bool fp8_dispatch = false;
-  QuantConfig quant;
 };
-
-EpPipelineConfig GetEpPipelineConfig();
-void SetEpPipelineConfig(EpPipelineConfig config);
 
 struct EpFfnCache {
   // Expert computation inputs/outputs, rows grouped by local expert.
@@ -81,25 +79,17 @@ struct EpFfnCache {
   Tensor fc2_out;   // [R, h]
   std::vector<int64_t> local_offsets;  // [E_local + 1] row ranges
 
-  // kAllToAll bookkeeping.
-  std::vector<int64_t> send_counts;   // rows sent to each rank
-  std::vector<int64_t> recv_counts;   // rows received from each rank
-  std::vector<int64_t> send_token;    // per sent row: local token index
-  std::vector<int64_t> send_slot;     // per sent row: top-k slot
-  std::vector<int64_t> recv_to_sorted;  // received row -> grouped row (legacy)
-  Tensor returned_rows;               // expert outputs back at the source
-
-  // Fused-pipeline bookkeeping (kAllToAll with the pipeline enabled). Send
-  // rows are enumerated chunk-major — (chunk, dst rank, token asc, slot
-  // asc) — where chunks partition the local token range in ascending
-  // order; send_token/send_slot/returned_rows above use this order. The
-  // receive side keeps two enumerations of the same rows: "legacy order"
-  // (source-major, exactly the blocking path's receive order, which
-  // chunk_to_sorted maps to grouped rows) and "chunk order" (chunk-major,
-  // the order rows land on the wire).
-  int pipeline_chunks = 0;                 // C used by the forward (0 = blocking)
+  // kAllToAll bookkeeping. Send rows are enumerated chunk-major — (chunk,
+  // dst rank, token asc, slot asc) — where chunks partition the local token
+  // range in ascending order. Received rows are enumerated in "chunk order"
+  // (chunk, src rank, row), the order they land on the wire;
+  // chunk_to_sorted maps them to grouped rows.
+  int pipeline_chunks = 0;                 // C used by the forward
   bool fp8_wire = false;                   // forward dispatch was quantize-on-pack
-  QuantConfig wire_quant;
+  std::vector<int64_t> recv_counts;        // rows received from each rank
+  std::vector<int64_t> send_token;         // per sent row: local token index
+  std::vector<int64_t> send_slot;          // per sent row: top-k slot
+  Tensor returned_rows;                    // expert outputs back at the source
   std::vector<int64_t> send_chunk_counts;  // [C*n] rows in (chunk, dst) segment
   std::vector<int64_t> send_chunk_base;    // [C+1] send-row prefix per chunk
   std::vector<int64_t> recv_chunk_counts;  // [C*n] rows in (chunk, src) segment
@@ -117,9 +107,10 @@ struct EpFfnCache {
 // weights w1/w3/w2 hold ALL experts; the module touches only rank r's range.
 // Returns the weighted expert output [t_local, h] (no residual).
 Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispatchMode mode,
-                    const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
-                    const std::vector<Tensor>& w2, const Tensor& x_local,
-                    const RoutingResult& routing_local, EpFfnCache* cache);
+                    const EpPipelineConfig& pipeline, const std::vector<Tensor>& w1,
+                    const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
+                    const Tensor& x_local, const RoutingResult& routing_local,
+                    EpFfnCache* cache);
 
 struct EpFfnGrads {
   Tensor dx_local;       // [t_local, h]
@@ -128,6 +119,10 @@ struct EpFfnGrads {
   std::vector<Tensor> dw1, dw3, dw2;
 };
 
+// kAllToAll replays the chunk count and wire format the forward recorded in
+// `cache`. On a failed group (Communicator::GroupStatus not OK, before or
+// during the call) the gradients still come back full-shape — zero-filled
+// in kAllToAll mode, like the forward's degraded output.
 EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
                          EpDispatchMode mode, const std::vector<Tensor>& w1,
                          const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
@@ -140,9 +135,9 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
 // (the paper's "re-performing RMSNorm and all-gather"), and `fc2_in` by
 // re-applying SwiGLU to the retained fc1/fc3 outputs. Collective: all ranks
 // of the group must call it together. Fields already present are left
-// untouched. A cache produced by the pipelined forward replays the
-// pipelined (chunked, quantize-on-pack) dispatch so the rebuilt ffn_in is
-// bitwise the forward's.
+// untouched. kAllToAll replays the forward's chunked (and quantize-on-pack)
+// dispatch, so the rebuilt ffn_in is bitwise the forward's; on a failed
+// group the rebuilt fields are zero-filled instead.
 void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
                         EpDispatchMode mode, const Tensor& x_local, EpFfnCache* cache);
 

@@ -33,6 +33,7 @@ namespace msmoe {
 struct ParallelMoeLayerOptions {
   EpDispatchMode dispatch = EpDispatchMode::kAllToAll;
   bool sar = false;
+  EpPipelineConfig pipeline;  // kAllToAll chunking and wire format
 };
 
 struct ParallelMoeLayerCache {

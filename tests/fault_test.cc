@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -28,6 +29,8 @@
 #include "src/model/checkpoint.h"
 #include "src/model/config.h"
 #include "src/model/lm.h"
+#include "src/model/moe_layer.h"
+#include "src/parallel/parallel_moe_layer.h"
 #include "src/sim/fault_sim.h"
 #include "src/sim/trace_export.h"
 
@@ -366,6 +369,78 @@ TEST(AsyncCommFaultTest, BitFlipThroughChunkedOpCorruptsExactlyOneBit) {
   EXPECT_EQ(differing_bits, 1);
   EXPECT_EQ(plan.bit_flips_fired(), 1);
 }
+
+// --- SP+EP layer under an injected crash -------------------------------------
+
+// Sweeps the crash index over every collective rank 1 issues in one 2-rank
+// ParallelMoeLayerForward + Backward: whichever collective dies — mid
+// forward, mid rematerialization, mid EP backward — no rank may crash and
+// every rank must end with the group's sticky non-OK status. The sweep ends
+// at the first index the layer never reaches, whose clean run must end OK.
+class LayerCrashSweepTest
+    : public ::testing::TestWithParam<std::tuple<EpDispatchMode, bool>> {};
+
+TEST_P(LayerCrashSweepTest, EveryCrashIndexFailsCleanlyOnEveryRank) {
+  const auto [dispatch, sar] = GetParam();
+  const int n = 2;
+  ModelConfig config = TinyMoeConfig(4, 2);
+  config.hidden = 16;
+  config.num_heads = 4;
+  config.gqa_ratio = 2;
+  config.ffn_hidden = 12;
+  config.seq_len = 8;
+  RouterConfig router;
+  router.num_experts = config.num_experts;
+  router.top_k = config.top_k;
+  const int64_t batch = 2;
+  const int64_t t_local = batch * config.seq_len / n;
+  Rng rng(19);
+  const MoeLayerParams params = MoeLayerParams::Init(config, rng);
+  std::vector<Tensor> x_local, dy_local;
+  for (int rank = 0; rank < n; ++rank) {
+    x_local.push_back(Tensor::Randn({t_local, config.hidden}, rng));
+    dy_local.push_back(Tensor::Randn({t_local, config.hidden}, rng));
+  }
+  ParallelMoeLayerOptions options;
+  options.dispatch = dispatch;
+  options.sar = sar;
+
+  int64_t crash_at = 0;
+  for (;; ++crash_at) {
+    ASSERT_LT(crash_at, 1000) << "the layer never ran out of collectives";
+    FlatCommunicator comm(n);
+    comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
+    FaultPlan plan(1);
+    plan.AddCrash(/*rank=*/1, crash_at);
+    comm.set_fault_plan(&plan);
+    std::vector<Status> statuses(static_cast<size_t>(n));
+    RunOnRanks(n, [&](int rank) {
+      const size_t r = static_cast<size_t>(rank);
+      ShardContext ctx{&comm, rank};
+      ParallelMoeLayerCache cache;
+      ParallelMoeLayerForward(ctx, config, router, params, x_local[r], batch,
+                              config.seq_len, options, &cache);
+      ParallelMoeLayerBackward(ctx, config, router, params, dy_local[r], batch,
+                               config.seq_len, options, cache);
+      statuses[r] = comm.GroupStatus();
+    });
+    const bool fired = plan.crashes_fired() == 1;
+    for (int rank = 0; rank < n; ++rank) {
+      EXPECT_EQ(statuses[static_cast<size_t>(rank)].ok(), !fired)
+          << "crash_at=" << crash_at << " rank=" << rank;
+    }
+    if (!fired) {
+      break;  // past the layer's last collective
+    }
+  }
+  EXPECT_GT(crash_at, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DispatchAndSar, LayerCrashSweepTest,
+    ::testing::Combine(::testing::Values(EpDispatchMode::kAllToAll,
+                                         EpDispatchMode::kAllGatherScatter),
+                       ::testing::Bool()));
 
 // --- Straggler detection ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -8,6 +9,7 @@
 #include "src/model/moe_layer.h"
 #include "src/parallel/parallel_moe_layer.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/reference_ffn.h"
 
 namespace msmoe {
 namespace {
@@ -41,9 +43,23 @@ struct MacroRun {
   std::vector<Tensor> dx;
   std::vector<MoeLayerParams> dparams;
   std::vector<int64_t> cache_bytes;
+  std::vector<int> pipeline_chunks;  // cache.ffn.pipeline_chunks per rank
+  std::vector<char> fp8_wire;        // cache.ffn.fp8_wire per rank
 };
 
-class MacroLayerTest : public ::testing::TestWithParam<EpDispatchMode> {
+// Every gradient tensor of `a` bitwise equal to its counterpart in `b`.
+void ExpectBitwiseParams(const MoeLayerParams& a, const MoeLayerParams& b, int rank) {
+  std::vector<const Tensor*> b_tensors;
+  b.ForEachConst([&](const std::string&, const Tensor& t) { b_tensors.push_back(&t); });
+  size_t i = 0;
+  a.ForEachConst([&](const std::string& name, const Tensor& t) {
+    ASSERT_LT(i, b_tensors.size());
+    EXPECT_TRUE(BitwiseEqual(t, *b_tensors[i++])) << name << " rank " << rank;
+  });
+  EXPECT_EQ(i, b_tensors.size());
+}
+
+class MacroLayerFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     config_ = TestConfig();
@@ -61,6 +77,13 @@ class MacroLayerTest : public ::testing::TestWithParam<EpDispatchMode> {
   }
 
   MacroRun RunParallel(EpDispatchMode dispatch, bool sar) {
+    ParallelMoeLayerOptions options;
+    options.dispatch = dispatch;
+    options.sar = sar;
+    return RunParallel(options);
+  }
+
+  MacroRun RunParallel(const ParallelMoeLayerOptions& options) {
     const int n = 2;
     FlatCommunicator group(n);
     MacroRun run;
@@ -71,11 +94,10 @@ class MacroLayerTest : public ::testing::TestWithParam<EpDispatchMode> {
       run.dparams.push_back(MoeLayerParams::ZerosLike(config_));
     }
     run.cache_bytes.resize(n);
+    run.pipeline_chunks.resize(n);
+    run.fp8_wire.resize(n);
     RunOnRanks(n, [&](int rank) {
       ShardContext ctx{&group, rank};
-      ParallelMoeLayerOptions options;
-      options.dispatch = dispatch;
-      options.sar = sar;
       Tensor x_local = RankChunk(x_full_, batch_, config_.seq_len, rank, n);
       Tensor dy_local = RankChunk(dy_full_, batch_, config_.seq_len, rank, n);
       ParallelMoeLayerCache cache;
@@ -83,6 +105,8 @@ class MacroLayerTest : public ::testing::TestWithParam<EpDispatchMode> {
           ParallelMoeLayerForward(ctx, config_, router_, params_, x_local, batch_,
                                   config_.seq_len, options, &cache);
       run.cache_bytes[static_cast<size_t>(rank)] = cache.CacheBytes();
+      run.pipeline_chunks[static_cast<size_t>(rank)] = cache.ffn.pipeline_chunks;
+      run.fp8_wire[static_cast<size_t>(rank)] = cache.ffn.fp8_wire ? 1 : 0;
       ParallelMoeLayerGrads grads =
           ParallelMoeLayerBackward(ctx, config_, router_, params_, dy_local, batch_,
                                    config_.seq_len, options, cache);
@@ -133,6 +157,9 @@ class MacroLayerTest : public ::testing::TestWithParam<EpDispatchMode> {
   MoeLayerGrads ref_grads_;
 };
 
+class MacroLayerTest : public MacroLayerFixture,
+                       public ::testing::WithParamInterface<EpDispatchMode> {};
+
 TEST_P(MacroLayerTest, MatchesSingleRankReference) {
   ExpectMatchesReference(RunParallel(GetParam(), /*sar=*/false));
 }
@@ -169,6 +196,49 @@ TEST_P(MacroLayerTest, SarHoldsFewerActivationBytes) {
 INSTANTIATE_TEST_SUITE_P(BothDispatchModes, MacroLayerTest,
                          ::testing::Values(EpDispatchMode::kAllToAll,
                                            EpDispatchMode::kAllGatherScatter));
+
+// The per-call pipeline config must reach the wire: the chunk count the
+// layer options request is the one the EP forward records, and the layer
+// output and every gradient stay bitwise the C=1 run's (SAR on, so the
+// rematerialized dispatch replays the same chunking).
+class MacroLayerChunksTest : public MacroLayerFixture,
+                             public ::testing::WithParamInterface<int> {};
+
+TEST_P(MacroLayerChunksTest, RequestedChunkCountIsBitwiseC1) {
+  const int chunks = GetParam();
+  ParallelMoeLayerOptions options;
+  options.sar = true;
+  options.pipeline.num_chunks = 1;
+  const MacroRun c1 = RunParallel(options);
+  options.pipeline.num_chunks = chunks;
+  const MacroRun run = RunParallel(options);
+  ExpectMatchesReference(run);
+  for (int rank = 0; rank < 2; ++rank) {
+    const size_t r = static_cast<size_t>(rank);
+    EXPECT_EQ(run.pipeline_chunks[r], chunks) << rank;
+    EXPECT_TRUE(BitwiseEqual(run.y[r], c1.y[r])) << rank;
+    EXPECT_TRUE(BitwiseEqual(run.dx[r], c1.dx[r])) << rank;
+    ExpectBitwiseParams(run.dparams[r], c1.dparams[r], rank);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Chunks, MacroLayerChunksTest, ::testing::Values(1, 4));
+
+class MacroLayerFp8Test : public MacroLayerFixture {};
+
+TEST_F(MacroLayerFp8Test, Fp8DispatchReachesTheWire) {
+  ParallelMoeLayerOptions options;
+  options.sar = true;
+  const MacroRun fp32 = RunParallel(options);
+  options.pipeline.fp8_dispatch = true;
+  const MacroRun fp8 = RunParallel(options);
+  for (int rank = 0; rank < 2; ++rank) {
+    const size_t r = static_cast<size_t>(rank);
+    EXPECT_FALSE(fp32.fp8_wire[r]) << rank;
+    EXPECT_TRUE(fp8.fp8_wire[r]) << rank;
+    EXPECT_FALSE(BitwiseEqual(fp8.y[r], fp32.y[r])) << rank;
+  }
+}
 
 }  // namespace
 }  // namespace msmoe

@@ -1,16 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/comm/communicator.h"
 #include "src/model/attention.h"
 #include "src/model/config.h"
-#include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
 #include "src/numerics/bf16.h"
+#include "src/numerics/quantize.h"
 #include "src/parallel/dp_grad_sync.h"
 #include "src/parallel/ep_ffn.h"
 #include "src/parallel/fp8_comm.h"
@@ -18,6 +17,7 @@
 #include "src/parallel/tp_attention.h"
 #include "src/parallel/tp_ffn.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/reference_ffn.h"
 
 namespace msmoe {
 namespace {
@@ -236,74 +236,6 @@ TEST_F(AttentionParallelTest, SpCommunicatesLessThanTp) {
   EXPECT_NEAR(measured_ratio, expected_ratio, 0.05);
 }
 
-// --- Single-rank reference for the expert FFN block (dispatch -> grouped
-// GEMMs -> SwiGLU -> weighted combine). ---
-struct RefFfnResult {
-  Tensor y;
-  Tensor dx;
-  Tensor dcombine;
-  std::vector<Tensor> dw1, dw3, dw2;
-};
-
-RefFfnResult ReferenceFfn(const ModelConfig& config, const std::vector<Tensor>& w1,
-                          const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
-                          const Tensor& x, const RoutingResult& routing, const Tensor& dy) {
-  const int64_t tokens = x.dim(0);
-  const int64_t h = config.hidden;
-  const int64_t k = routing.top_k;
-  DispatchPlan plan = BuildDispatchPlan(routing, config.num_experts);
-  Tensor ffn_in = GatherRows(x, plan.row_map);
-  Tensor fc1 = GroupedGemm(ffn_in, plan.expert_offsets, w1);
-  Tensor fc3 = GroupedGemm(ffn_in, plan.expert_offsets, w3);
-  Tensor fc2_in = SwiGlu(fc1, fc3);
-  Tensor fc2_out = GroupedGemm(fc2_in, plan.expert_offsets, w2);
-
-  RefFfnResult result;
-  result.y = Tensor({tokens, h});
-  for (int64_t t = 0; t < tokens; ++t) {
-    for (int64_t slot = 0; slot < k; ++slot) {
-      const int64_t row = plan.slot_to_row[static_cast<size_t>(t * k + slot)];
-      if (row < 0) {
-        continue;
-      }
-      const float weight = routing.combine_weight.At(t, slot);
-      for (int64_t c = 0; c < h; ++c) {
-        result.y.At(t, c) += weight * fc2_out.At(row, c);
-      }
-    }
-  }
-
-  Tensor dfc2_out({fc2_out.dim(0), h});
-  result.dcombine = Tensor({tokens, k});
-  for (int64_t t = 0; t < tokens; ++t) {
-    for (int64_t slot = 0; slot < k; ++slot) {
-      const int64_t row = plan.slot_to_row[static_cast<size_t>(t * k + slot)];
-      if (row < 0) {
-        continue;
-      }
-      const float weight = routing.combine_weight.At(t, slot);
-      float dot = 0.0f;
-      for (int64_t c = 0; c < h; ++c) {
-        dfc2_out.At(row, c) += weight * dy.At(t, c);
-        dot += dy.At(t, c) * fc2_out.At(row, c);
-      }
-      result.dcombine.At(t, slot) = dot;
-    }
-  }
-  GroupedGemmGrads fc2_grads = GroupedGemmBackward(dfc2_out, fc2_in, plan.expert_offsets, w2);
-  result.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, fc1, fc3);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, ffn_in, plan.expert_offsets, w1);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, ffn_in, plan.expert_offsets, w3);
-  result.dw1 = std::move(fc1_grads.dweights);
-  result.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-  result.dx = ScatterAddRows(dffn_in, plan.row_map, tokens);
-  return result;
-}
-
 class FfnParallelTest : public ::testing::TestWithParam<EpDispatchMode> {
  protected:
   void SetUp() override {
@@ -348,8 +280,8 @@ TEST_P(FfnParallelTest, EpMatchesSingleRankForwardBackward) {
     Tensor logits = MatMul(x_local, w_gate_);
     RoutingResult routing = RouteTokens(logits, router_);
     EpFfnCache cache;
-    y[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx, config_, mode, w1_, w3_, w2_, x_local, routing, &cache);
+    y[static_cast<size_t>(rank)] = EpFfnForward(ctx, config_, mode, EpPipelineConfig{}, w1_,
+                                                w3_, w2_, x_local, routing, &cache);
     EpFfnGrads grads =
         EpFfnBackward(ctx, config_, mode, w1_, w3_, w2_, dy_local, routing, cache);
     dx[static_cast<size_t>(rank)] = std::move(grads.dx_local);
@@ -388,9 +320,9 @@ INSTANTIATE_TEST_SUITE_P(BothDispatchModes, FfnParallelTest,
 // Quantize-on-pack FP8 dispatch: quantizing each row directly into the send
 // staging (codes + per-token scale on one wire payload) must be BITWISE the
 // same as the two-pass reference — round-tripping x through per-token FP8
-// first, then running the blocking FP32 dispatch on the already-quantized
-// activations. Routing stays on the ORIGINAL x in both runs (the router is
-// upstream of the dispatch quantization).
+// first, then running the FP32 dispatch at the same chunk count on the
+// already-quantized activations. Routing stays on the ORIGINAL x in both
+// runs (the router is upstream of the dispatch quantization).
 TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
   const int n = 2;
   const int64_t t_local = x_full_.dim(0) / n;
@@ -398,51 +330,29 @@ TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
   QuantConfig quant;
   quant.granularity = QuantGranularity::kPerToken;
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
-  EpPipelineConfig pc;
-  pc.enabled = true;
-  pc.num_chunks = 3;
-  pc.fp8_dispatch = true;
-  pc.quant = quant;
-  SetEpPipelineConfig(pc);
-  FlatCommunicator fp8_group(n);
-  std::vector<Tensor> y_fp8(n);
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&fp8_group, rank};
-    Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
-    RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
-    EpFfnCache cache;
-    y_fp8[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_,
-                     x_local, routing, &cache);
-  });
-
-  pc = EpPipelineConfig{};
-  pc.enabled = false;
-  SetEpPipelineConfig(pc);
-  FlatCommunicator ref_group(n);
-  std::vector<Tensor> y_ref(n);
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&ref_group, rank};
-    Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
-    RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
-    Tensor x_q = Tensor::FromVector(
-        {t_local, h}, QuantizeRoundTrip(x_local.data(), t_local, h, quant));
-    EpFfnCache cache;
-    y_ref[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_q,
-                     routing, &cache);
-  });
-  SetEpPipelineConfig(saved);
-
-  for (int rank = 0; rank < n; ++rank) {
-    const Tensor& a = y_fp8[static_cast<size_t>(rank)];
-    const Tensor& b = y_ref[static_cast<size_t>(rank)];
-    ASSERT_EQ(a.numel(), b.numel()) << rank;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          static_cast<size_t>(a.numel()) * sizeof(float)),
-              0)
-        << rank;
+  const auto run = [&](bool fp8, std::vector<Tensor>* y) {
+    FlatCommunicator group(n);
+    y->resize(static_cast<size_t>(n));
+    RunOnRanks(n, [&](int rank) {
+      ShardContext ctx{&group, rank};
+      Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
+      RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
+      if (!fp8) {
+        x_local = Tensor::FromVector(
+            {t_local, h}, QuantizeRoundTrip(x_local.data(), t_local, h, quant));
+      }
+      EpFfnCache cache;
+      (*y)[static_cast<size_t>(rank)] =
+          EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll,
+                       EpPipelineConfig{/*num_chunks=*/3, /*fp8_dispatch=*/fp8}, w1_, w3_,
+                       w2_, x_local, routing, &cache);
+    });
+  };
+  std::vector<Tensor> y_fp8, y_ref;
+  run(/*fp8=*/true, &y_fp8);
+  run(/*fp8=*/false, &y_ref);
+  for (size_t rank = 0; rank < y_fp8.size(); ++rank) {
+    EXPECT_TRUE(BitwiseEqual(y_fp8[rank], y_ref[rank])) << rank;
   }
 }
 
@@ -514,11 +424,12 @@ TEST_F(FfnParallelTest, DroppedTokenCopiesHandledIdentically) {
     EpFfnCache c1, c2;
     ShardContext ctx1{&a2a_group, rank};
     ShardContext ctx2{&ag_group, rank};
-    y_a2a[static_cast<size_t>(rank)] = EpFfnForward(
-        ctx1, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_local, routing, &c1);
+    y_a2a[static_cast<size_t>(rank)] =
+        EpFfnForward(ctx1, config_, EpDispatchMode::kAllToAll, EpPipelineConfig{}, w1_, w3_,
+                     w2_, x_local, routing, &c1);
     y_ag[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx2, config_, EpDispatchMode::kAllGatherScatter, w1_, w3_, w2_,
-                     x_local, routing, &c2);
+        EpFfnForward(ctx2, config_, EpDispatchMode::kAllGatherScatter, EpPipelineConfig{},
+                     w1_, w3_, w2_, x_local, routing, &c2);
     EpFfnGrads g1 = EpFfnBackward(ctx1, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_,
                                   dy_local, routing, c1);
     EpFfnGrads g2 = EpFfnBackward(ctx2, config_, EpDispatchMode::kAllGatherScatter, w1_,
@@ -550,11 +461,12 @@ TEST_F(FfnParallelTest, BothEpModesAgree) {
     EpFfnCache cache1, cache2;
     ShardContext ctx1{&a2a_group, rank};
     ShardContext ctx2{&ag_group, rank};
-    y_a2a[static_cast<size_t>(rank)] = EpFfnForward(
-        ctx1, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_local, routing, &cache1);
+    y_a2a[static_cast<size_t>(rank)] =
+        EpFfnForward(ctx1, config_, EpDispatchMode::kAllToAll, EpPipelineConfig{}, w1_, w3_,
+                     w2_, x_local, routing, &cache1);
     y_ag[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx2, config_, EpDispatchMode::kAllGatherScatter, w1_, w3_, w2_,
-                     x_local, routing, &cache2);
+        EpFfnForward(ctx2, config_, EpDispatchMode::kAllGatherScatter, EpPipelineConfig{},
+                     w1_, w3_, w2_, x_local, routing, &cache2);
   });
   for (int rank = 0; rank < n; ++rank) {
     EXPECT_LT(y_a2a[static_cast<size_t>(rank)].RelativeL2Diff(y_ag[static_cast<size_t>(rank)]),

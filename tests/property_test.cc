@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "src/parallel/fused_ops.h"
 #include "src/parallel/sp_attention.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/reference_ffn.h"
 
 namespace msmoe {
 namespace {
@@ -546,36 +546,38 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3),       // streams
                        ::testing::Values<uint64_t>(1, 7, 23)));
 
-// --- Fused EP dispatch pipeline: the pipelined kAllToAll path must be
-// BITWISE equal to the blocking reference — outputs, gradients, AND the
-// rematerialized ffn_in — for every (worker count, chunk count, routing
-// skew) cell. Skewed logits concentrate tokens on one or two experts so
-// ragged per-(chunk, rank) segments (including empty ones) are exercised,
-// and chunk counts that don't divide the token count produce uneven
-// chunks. To shrink a failing cell, rerun with the printed parameters. ---
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.numel() == b.numel() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
+// --- Fused EP dispatch pipeline against independent oracles, over every
+// (worker count, chunk count, routing skew, top-k) cell. Skewed logits
+// concentrate tokens on one or two experts so ragged per-(chunk, rank)
+// segments (including empty ones) are exercised, and chunk counts that
+// don't divide the token count produce uneven chunks. Every cell drops
+// ffn_in after the forward and rebuilds it with the collective replay, so
+// the backward also pins the rematerialized dispatch.
+//   top-2: y, dx, dcombine, dW and ffn_in bitwise equal the single-rank
+//          ReferenceFfn.
+//   top-3: a token's three copies are summed in owner-rank order here and
+//          in slot order by the reference, so y and dx are pinned bitwise
+//          to the C=1, one-worker run instead; dcombine, dW and ffn_in
+//          stay bitwise equal to the reference.
+// To shrink a failing cell, rerun with the printed parameters. ---
 
 struct EpPipelineRun {
   std::vector<Tensor> y, dx, dcombine, ffn_in;
-  std::vector<std::vector<Tensor>> dw1, dw3, dw2;
+  std::vector<std::vector<Tensor>> dw1, dw3, dw2;  // [rank][local expert]
 };
 
 class EpPipelineSweepTest
-    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t, int64_t>> {};
 
-TEST_P(EpPipelineSweepTest, PipelinedBitwiseEqualsBlocking) {
-  const auto [workers, chunks, seed] = GetParam();
+TEST_P(EpPipelineSweepTest, BitwiseEqualsReference) {
+  const auto [workers, chunks, seed, top_k] = GetParam();
   const int n = 4;
-  ModelConfig config = TinyMoeConfig(8, 2);
+  ModelConfig config = TinyMoeConfig(8, top_k);
   config.hidden = 32;
   config.ffn_hidden = 24;
   const int64_t t_local = 12;  // chunks=5/8 -> uneven or sub-token chunks
   const int64_t tokens = n * t_local;
+  const int64_t e_local = config.num_experts / n;
 
   Rng rng(seed * 131 + 7);
   std::vector<Tensor> w1, w3, w2;
@@ -600,27 +602,40 @@ TEST_P(EpPipelineSweepTest, PipelinedBitwiseEqualsBlocking) {
   router.num_experts = config.num_experts;
   router.top_k = config.top_k;
 
-  const int restore_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(workers);
-  const EpPipelineConfig saved = GetEpPipelineConfig();
+  // The reference, cut into the per-rank layout of an EP run: token rows
+  // by owner rank, grouped rows and expert grads by expert owner.
+  const RefFfnResult ref = ReferenceFfn(config, w1, w3, w2, x_full,
+                                        RouteTokens(logits_full, router), dy_full);
+  EpPipelineRun oracle;
+  for (int rank = 0; rank < n; ++rank) {
+    oracle.y.push_back(ref.y.SliceRows(rank * t_local, (rank + 1) * t_local));
+    oracle.dx.push_back(ref.dx.SliceRows(rank * t_local, (rank + 1) * t_local));
+    oracle.dcombine.push_back(ref.dcombine.SliceRows(rank * t_local, (rank + 1) * t_local));
+    oracle.ffn_in.push_back(
+        ref.ffn_in.SliceRows(ref.expert_offsets[static_cast<size_t>(rank * e_local)],
+                             ref.expert_offsets[static_cast<size_t>((rank + 1) * e_local)]));
+    const auto owned = [&](const std::vector<Tensor>& dw) {
+      return std::vector<Tensor>(dw.begin() + rank * e_local,
+                                 dw.begin() + (rank + 1) * e_local);
+    };
+    oracle.dw1.push_back(owned(ref.dw1));
+    oracle.dw3.push_back(owned(ref.dw3));
+    oracle.dw2.push_back(owned(ref.dw2));
+  }
 
-  // `remat` drops ffn_in after the forward and rebuilds it with the
-  // collective replay before the backward, so the backward result also
-  // pins the rematerialized dispatch bitwise.
-  const auto run = [&](bool pipelined, bool remat, EpPipelineRun* out) {
-    EpPipelineConfig pc;
-    pc.enabled = pipelined;
-    pc.num_chunks = chunks;
-    SetEpPipelineConfig(pc);
+  const int restore_workers = ParallelWorkerCount();
+  const auto run = [&](int run_workers, int run_chunks, bool remat) {
+    SetParallelWorkerCount(run_workers);
     FlatCommunicator group(n);
-    out->y.resize(static_cast<size_t>(n));
-    out->dx.resize(static_cast<size_t>(n));
-    out->dcombine.resize(static_cast<size_t>(n));
-    out->ffn_in.resize(static_cast<size_t>(n));
-    out->dw1.resize(static_cast<size_t>(n));
-    out->dw3.resize(static_cast<size_t>(n));
-    out->dw2.resize(static_cast<size_t>(n));
-    RunOnRanks(n, [&, remat](int rank) {
+    EpPipelineRun out;
+    out.y.resize(static_cast<size_t>(n));
+    out.dx.resize(static_cast<size_t>(n));
+    out.dcombine.resize(static_cast<size_t>(n));
+    out.ffn_in.resize(static_cast<size_t>(n));
+    out.dw1.resize(static_cast<size_t>(n));
+    out.dw3.resize(static_cast<size_t>(n));
+    out.dw2.resize(static_cast<size_t>(n));
+    RunOnRanks(n, [&](int rank) {
       const size_t r = static_cast<size_t>(rank);
       ShardContext ctx{&group, rank};
       Tensor x_local = x_full.SliceRows(rank * t_local, (rank + 1) * t_local);
@@ -628,50 +643,47 @@ TEST_P(EpPipelineSweepTest, PipelinedBitwiseEqualsBlocking) {
       RoutingResult routing = RouteTokens(
           logits_full.SliceRows(rank * t_local, (rank + 1) * t_local), router);
       EpFfnCache cache;
-      out->y[r] = EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2,
-                               x_local, routing, &cache);
+      out.y[r] = EpFfnForward(ctx, config, EpDispatchMode::kAllToAll,
+                              EpPipelineConfig{run_chunks, /*fp8_dispatch=*/false}, w1, w3,
+                              w2, x_local, routing, &cache);
       if (remat) {
         cache.ffn_in = Tensor();
         EpFfnRematerialize(ctx, config, EpDispatchMode::kAllToAll, x_local, &cache);
       }
-      EpFfnGrads grads = EpFfnBackward(ctx, config, EpDispatchMode::kAllToAll, w1,
-                                       w3, w2, dy_local, routing, cache);
-      out->ffn_in[r] = std::move(cache.ffn_in);
-      out->dx[r] = std::move(grads.dx_local);
-      out->dcombine[r] = std::move(grads.dcombine_local);
-      out->dw1[r] = std::move(grads.dw1);
-      out->dw3[r] = std::move(grads.dw3);
-      out->dw2[r] = std::move(grads.dw2);
+      EpFfnGrads grads = EpFfnBackward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2,
+                                       dy_local, routing, cache);
+      out.ffn_in[r] = std::move(cache.ffn_in);
+      out.dx[r] = std::move(grads.dx_local);
+      out.dcombine[r] = std::move(grads.dcombine_local);
+      out.dw1[r] = std::move(grads.dw1);
+      out.dw3[r] = std::move(grads.dw3);
+      out.dw2[r] = std::move(grads.dw2);
     });
+    SetParallelWorkerCount(restore_workers);
+    return out;
   };
 
-  EpPipelineRun blocking, pipelined;
-  run(/*pipelined=*/false, /*remat=*/false, &blocking);
-  run(/*pipelined=*/true, /*remat=*/true, &pipelined);
-  SetEpPipelineConfig(saved);
-  SetParallelWorkerCount(restore_workers);
-
-  const int64_t e_local = config.num_experts / n;
+  const EpPipelineRun got = run(workers, chunks, /*remat=*/true);
+  const EpPipelineRun token_sum_oracle =
+      top_k <= 2 ? oracle : run(/*run_workers=*/1, /*run_chunks=*/1, /*remat=*/false);
   for (int rank = 0; rank < n; ++rank) {
     const size_t r = static_cast<size_t>(rank);
     const auto cell = [&](const char* what) {
-      return ::testing::Message()
-             << what << " workers=" << workers << " chunks=" << chunks
-             << " seed=" << seed << " rank=" << rank;
+      return ::testing::Message() << what << " workers=" << workers << " chunks=" << chunks
+                                  << " seed=" << seed << " top_k=" << top_k
+                                  << " rank=" << rank;
     };
-    EXPECT_TRUE(BitwiseEqual(pipelined.y[r], blocking.y[r])) << cell("y");
-    EXPECT_TRUE(BitwiseEqual(pipelined.ffn_in[r], blocking.ffn_in[r]))
-        << cell("remat ffn_in");
-    EXPECT_TRUE(BitwiseEqual(pipelined.dx[r], blocking.dx[r])) << cell("dx");
-    EXPECT_TRUE(BitwiseEqual(pipelined.dcombine[r], blocking.dcombine[r]))
-        << cell("dcombine");
+    EXPECT_TRUE(BitwiseEqual(got.y[r], token_sum_oracle.y[r])) << cell("y");
+    EXPECT_TRUE(BitwiseEqual(got.dx[r], token_sum_oracle.dx[r])) << cell("dx");
+    EXPECT_TRUE(BitwiseEqual(got.dcombine[r], oracle.dcombine[r])) << cell("dcombine");
+    EXPECT_TRUE(BitwiseEqual(got.ffn_in[r], oracle.ffn_in[r])) << cell("remat ffn_in");
     for (int64_t e = 0; e < e_local; ++e) {
       const size_t le = static_cast<size_t>(e);
-      EXPECT_TRUE(BitwiseEqual(pipelined.dw1[r][le], blocking.dw1[r][le]))
+      EXPECT_TRUE(BitwiseEqual(got.dw1[r][le], oracle.dw1[r][le]))
           << cell("dw1") << " expert=" << e;
-      EXPECT_TRUE(BitwiseEqual(pipelined.dw3[r][le], blocking.dw3[r][le]))
+      EXPECT_TRUE(BitwiseEqual(got.dw3[r][le], oracle.dw3[r][le]))
           << cell("dw3") << " expert=" << e;
-      EXPECT_TRUE(BitwiseEqual(pipelined.dw2[r][le], blocking.dw2[r][le]))
+      EXPECT_TRUE(BitwiseEqual(got.dw2[r][le], oracle.dw2[r][le]))
           << cell("dw2") << " expert=" << e;
     }
   }
@@ -681,7 +693,8 @@ INSTANTIATE_TEST_SUITE_P(
     PipelineGrid, EpPipelineSweepTest,
     ::testing::Combine(::testing::Values(1, 3),        // workers
                        ::testing::Values(1, 2, 5, 8),  // chunks
-                       ::testing::Values<uint64_t>(11, 29)));
+                       ::testing::Values<uint64_t>(11, 29),
+                       ::testing::Values<int64_t>(2, 3)));  // top-k
 
 // --- Counting-sort permutation tables: the chunked send/recv bookkeeping
 // the pipeline builds must round-trip — chunk_to_sorted a bijection onto
@@ -712,11 +725,6 @@ TEST(EpPipelinePermutationTest, DispatchTablesRoundTrip) {
   router.num_experts = config.num_experts;
   router.top_k = k;
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
-  EpPipelineConfig pc;
-  pc.enabled = true;
-  pc.num_chunks = chunks;
-  SetEpPipelineConfig(pc);
   FlatCommunicator group(n);
   std::vector<EpFfnCache> caches(static_cast<size_t>(n));
   std::vector<RoutingResult> routings(static_cast<size_t>(n));
@@ -725,10 +733,10 @@ TEST(EpPipelinePermutationTest, DispatchTablesRoundTrip) {
     ShardContext ctx{&group, rank};
     Tensor x_local = x_full.SliceRows(rank * t_local, (rank + 1) * t_local);
     routings[r] = RouteTokens(MatMul(x_local, w_gate), router);
-    EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2, x_local,
+    EpFfnForward(ctx, config, EpDispatchMode::kAllToAll,
+                 EpPipelineConfig{chunks, /*fp8_dispatch=*/false}, w1, w3, w2, x_local,
                  routings[r], &caches[r]);
   });
-  SetEpPipelineConfig(saved);
 
   for (int rank = 0; rank < n; ++rank) {
     const EpFfnCache& cache = caches[static_cast<size_t>(rank)];

@@ -8,8 +8,9 @@
 # under TSan are the races-or-not verdict for the whole substrate
 # (fused_ops_test hammers the chunked async pipelines; exec_graph_test
 # hammers the runtime task-graph executor across streams and randomized
-# schedules; property_test sweeps the fused EP dispatch pipeline across
-# worker and chunk counts); fault_test and the recovery bench under ASan
+# schedules; property_test pins the fused EP dispatch pipeline against the
+# single-rank reference across worker, chunk and top-k counts); fault_test
+# (including the SP+EP layer crash sweep) and the recovery bench under ASan
 # cover the checkpoint IO and buffer-corruption paths, and parallel_test /
 # property_test under ASan cover the Workspace-staged dispatch packing;
 # the perf smoke fails if the blocked GEMM kernel ever regresses
@@ -21,10 +22,10 @@
 # bit-identical W-1 curve (bench_fault_recovery --check), the memory
 # smoke fails if the steady-state training step ever hits the system
 # allocator again or pooled storage changes a bit of the numerics
-# (bench_memory --check), and the dispatch smoke fails if the pipelined
-# EP dispatch stops beating the blocking path by 1.3x under a calibrated
-# wire, stops being bitwise identical, or allocates in steady state
-# (bench_fig7_dispatch --check). obs_test under TSan is the verdict on the
+# (bench_memory --check), and the dispatch smoke fails if the chunked EP
+# dispatch stops being bitwise identical to its C=1 run or allocates in
+# steady state (bench_fig7_dispatch --check; it reports the paired C=1/C
+# speedup without gating on it). obs_test under TSan is the verdict on the
 # metrics registry's sharded recording (concurrent threads + retirement
 # folds), and the observability smoke fails if profiling the fused pipeline
 # costs more than 2% wall clock, if a disabled registry stops being free
@@ -101,7 +102,7 @@ cmake --build build-release -j --target bench_memory >/dev/null
 (cd build-release/bench && ./bench_memory --check)
 
 echo
-echo "== dispatch smoke: pipelined EP dispatch beats blocking 1.3x, bitwise, zero-alloc (bench_fig7_dispatch --check) =="
+echo "== dispatch smoke: chunked EP dispatch bitwise equal to C=1, zero-alloc (bench_fig7_dispatch --check) =="
 cmake --build build-release -j --target bench_fig7_dispatch >/dev/null
 (cd build-release/bench && ./bench_fig7_dispatch --check)
 
