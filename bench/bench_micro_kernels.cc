@@ -1,9 +1,10 @@
 // Microbenchmarks of the real (CPU) kernels underpinning the numeric
 // substrate: GEMM (naive reference vs the blocked/SIMD production kernel,
-// single- and multi-worker), grouped GEMM, attention core, router,
-// quantization, and thread-rank collectives. These measure actual wall time
-// (unlike the figure benches, which report simulated cluster time) using the
-// warmup + median-of-N helper so numbers are stable run-to-run.
+// single- and multi-worker), grouped GEMM, attention core forward and
+// backward, router, quantization, and thread-rank collectives. These measure
+// actual wall time (unlike the figure benches, which report simulated
+// cluster time) using the warmup + median-of-N helper so numbers are stable
+// run-to-run.
 //
 // Besides the human-readable table, writes BENCH_kernels.json (one record
 // per kernel case, naive vs blocked GFLOP/s) — the wall-clock baseline for
@@ -127,17 +128,24 @@ TimedCase RunGroupedGemmCase(std::vector<GemmCase>* gemm_rows) {
   return TimedCase{"grouped_gemm_e8", blocked_s * 1e6, blocked_stats};
 }
 
-TimedCase RunAttentionCase() {
+// Forward and backward of one s=128 sequence (4 query heads over 2 KV heads,
+// d=16); reported only, no gate.
+std::vector<TimedCase> RunAttentionCases() {
   const int64_t seq = 128;
   Rng rng(3);
   Tensor q = Tensor::Randn({seq, 4, 16}, rng);
   Tensor k = Tensor::Randn({seq, 2, 16}, rng);
   Tensor v = Tensor::Randn({seq, 2, 16}, rng);
-  const TimingStats stats = TimedStatsOfN(kWarmup, kReps, [&] {
-    AttentionCoreCache cache;
+  Tensor dout = Tensor::Randn({seq, 4, 16}, rng);
+  AttentionCoreCache cache;
+  const TimingStats fwd_stats = TimedStatsOfN(kWarmup, kReps, [&] {
     Tensor out = AttentionCore(q, k, v, 2, &cache);
   });
-  return TimedCase{"attention_core_s128", stats.median_s * 1e6, stats};
+  const TimingStats bwd_stats = TimedStatsOfN(kWarmup, kReps, [&] {
+    AttentionCoreGrads grads = AttentionCoreBackward(dout, q, k, v, 2, cache);
+  });
+  return {TimedCase{"attention_core_s128", fwd_stats.median_s * 1e6, fwd_stats},
+          TimedCase{"attention_core_bwd_s128", bwd_stats.median_s * 1e6, bwd_stats}};
 }
 
 TimedCase RunRouterCase() {
@@ -226,7 +234,8 @@ int Main(int argc, char** argv) {
 
   std::vector<TimedCase> timed_rows;
   timed_rows.push_back(RunGroupedGemmCase(&gemm_rows));
-  timed_rows.push_back(RunAttentionCase());
+  const std::vector<TimedCase> attention_rows = RunAttentionCases();
+  timed_rows.insert(timed_rows.end(), attention_rows.begin(), attention_rows.end());
   timed_rows.push_back(RunRouterCase());
   timed_rows.push_back(RunQuantizeCase());
   timed_rows.push_back(RunAllToAllCase());

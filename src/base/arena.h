@@ -176,9 +176,10 @@ class PooledBuffer {
 // FP8 code/scale staging, async-comm chunk scratch): Floats/Bytes returns a
 // buffer that stays owned by the workspace and is reused verbatim on the
 // next call with the same tag. Capacity is grow-only per tag, so a shape
-// change reuses the slot when it fits. Rank threads and comm-proxy threads
-// are persistent (LIFO pool reuse), so ThreadWorkspace() hands every step
-// the same buffers. Contents are unspecified on entry — treat every buffer
+// change reuses the slot when it fits. Rank threads (rank i reruns on its
+// previous thread when free), their ParallelFor helpers and comm-proxy
+// threads are persistent, so ThreadWorkspace() hands every step the same
+// buffers. Contents are unspecified on entry — treat every buffer
 // as uninitialized.
 class Workspace {
  public:

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -39,87 +39,133 @@ std::atomic<int> g_worker_cap{0};
 
 thread_local bool tls_in_parallel_shard = false;
 
-// Persistent pool. Threads are spawned on first demand and live until the
-// process exits (the function-local static's destructor joins them).
-class WorkerPool {
+// The fork-join team of one calling thread. Helper i is the preferred runner
+// of shard i of every call its owner fans out; the owner runs shard 0 and
+// then any helper shard no helper has started yet, so a helper that is slow
+// to wake (an oversubscribed host) delays nothing. Concurrent callers such
+// as rank threads never share or queue on each other's helpers. Helpers are
+// spawned on demand and joined when the owning thread exits.
+class Team {
  public:
-  static WorkerPool& Get() {
-    static WorkerPool pool;
-    return pool;
-  }
+  Team() = default;
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
 
-  void EnsureWorkers(int count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (static_cast<int>(threads_.size()) < count) {
-      threads_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  void Submit(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-  }
-
-  ~WorkerPool() {
+  ~Team() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_ = true;
     }
-    cv_.notify_all();
-    for (auto& thread : threads_) {
-      thread.join();
+    work_cv_.notify_all();
+    for (auto& helper : helpers_) {
+      helper.join();
     }
+  }
+
+  // Contiguous balanced shards; shard s covers [s*n/shards, (s+1)*n/shards).
+  // Returns the first exception any shard threw, after all shards finished.
+  std::exception_ptr Run(int shards, int64_t n,
+                         const std::function<void(int64_t, int64_t)>& fn) {
+    while (static_cast<int>(helpers_.size()) < shards - 1) {
+      const int index = static_cast<int>(helpers_.size()) + 1;
+      helpers_.emplace_back(
+          [this, index, seen = generation_] { HelperLoop(index, seen); });
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fn_ = &fn;
+      n_ = n;
+      shards_ = shards;
+      unclaimed_ = ((uint64_t{1} << (shards - 1)) - 1) << 1;  // shards 1..shards-1
+      error_ = nullptr;
+      ++generation_;
+    }
+    work_cv_.notify_all();
+    // The owner's shards run marked as shards, so nesting inlines.
+    tls_in_parallel_shard = true;
+    RunShard(fn, n, shards, 0);
+    for (;;) {
+      int shard = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (unclaimed_ == 0) {
+          break;
+        }
+        shard = std::countr_zero(unclaimed_);
+        unclaimed_ &= unclaimed_ - 1;
+      }
+      RunShard(fn, n, shards, shard);
+    }
+    tls_in_parallel_shard = false;
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return running_ == 0; });
+    fn_ = nullptr;
+    return std::move(error_);
   }
 
  private:
-  void WorkerLoop() {
-    tls_in_parallel_shard = true;  // nested ParallelFor on a worker inlines
+  void HelperLoop(int index, uint64_t seen) {
+    tls_in_parallel_shard = true;  // nested ParallelFor on a helper inlines
+    // CHECK failures on helpers must not abort the process before the owner
+    // gets to observe them.
+    ScopedThrowOnFatal throw_on_fatal;
+    const uint64_t bit = uint64_t{1} << index;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-        if (queue_.empty()) {
-          return;  // shutdown with a drained queue
-        }
-        task = std::move(queue_.front());
-        queue_.pop_front();
+      work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
+      if (shutdown_) {
+        return;  // the owner is exiting, so no call is in flight
       }
-      task();
+      seen = generation_;
+      if ((unclaimed_ & bit) == 0) {
+        continue;  // this call has fewer shards, or the owner took this one
+      }
+      unclaimed_ &= ~bit;
+      ++running_;
+      const std::function<void(int64_t, int64_t)>& fn = *fn_;
+      const int64_t n = n_;
+      const int shards = shards_;
+      lock.unlock();
+      RunShard(fn, n, shards, index);
+      lock.lock();
+      if (--running_ == 0) {
+        done_cv_.notify_one();
+      }
     }
   }
 
+  void RunShard(const std::function<void(int64_t, int64_t)>& fn, int64_t n, int shards,
+                int shard) {
+    try {
+      fn(n * shard / shards, n * (shard + 1) / shards);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) {
+        error_ = std::current_exception();
+      }
+    }
+  }
+
+  // Guarded by mu_. generation_ and the call fields are written only by the
+  // owner.
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
+  std::condition_variable work_cv_;  // generation_ advanced or shutdown
+  std::condition_variable done_cv_;  // running_ reached zero
+  uint64_t generation_ = 0;          // one per fanned-out call
+  const std::function<void(int64_t, int64_t)>* fn_ = nullptr;
+  int64_t n_ = 0;
+  int shards_ = 0;
+  uint64_t unclaimed_ = 0;  // bit s: helper shard s not started yet
+  int running_ = 0;         // helper shards claimed by helpers, not finished
+  std::exception_ptr error_;
   bool shutdown_ = false;
+  std::vector<std::thread> helpers_;  // owner-thread only; helper i at [i - 1]
 };
 
-// Completion state of one ParallelFor call, shared by its shards.
-struct ForkState {
-  std::mutex mu;
-  std::condition_variable cv;
-  int remaining = 0;
-  std::exception_ptr error;
-
-  void Record(std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!error) {
-      error = std::move(e);
-    }
-  }
-  void Finish() {
-    std::lock_guard<std::mutex> lock(mu);
-    --remaining;
-    if (remaining == 0) {
-      cv.notify_all();
-    }
-  }
-};
+Team& ThreadTeam() {
+  thread_local Team team;
+  return team;
+}
 
 }  // namespace
 
@@ -165,40 +211,8 @@ void ParallelFor(int64_t n, int64_t grain,
     registry.Add(shards_id, static_cast<double>(shards));
   }
 
-  WorkerPool& pool = WorkerPool::Get();
-  pool.EnsureWorkers(shards - 1);
-  ForkState state;
-  state.remaining = shards - 1;
-  // Contiguous balanced shards; shard s covers [s*n/shards, (s+1)*n/shards).
-  for (int s = 1; s < shards; ++s) {
-    const int64_t begin = n * s / shards;
-    const int64_t end = n * (s + 1) / shards;
-    pool.Submit([&state, &fn, begin, end] {
-      // CHECK failures on pool workers must not abort the process before the
-      // caller gets to observe them.
-      ScopedThrowOnFatal throw_on_fatal;
-      try {
-        fn(begin, end);
-      } catch (...) {
-        state.Record(std::current_exception());
-      }
-      state.Finish();
-    });
-  }
-  // The caller runs shard 0 itself; mark it as a shard so nesting inlines.
-  tls_in_parallel_shard = true;
-  try {
-    fn(0, n / shards);
-  } catch (...) {
-    state.Record(std::current_exception());
-  }
-  tls_in_parallel_shard = false;
-  {
-    std::unique_lock<std::mutex> lock(state.mu);
-    state.cv.wait(lock, [&state] { return state.remaining == 0; });
-  }
-  if (state.error) {
-    std::rethrow_exception(state.error);
+  if (std::exception_ptr error = ThreadTeam().Run(shards, n, fn)) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -15,7 +15,8 @@ namespace {
 // thread per rank for its whole duration (ranks block inside collective
 // barriers, so they can never be queued), the pool grows on demand, and
 // threads return to the free list before the caller is released — so
-// back-to-back Runs reuse the same threads. Nested RunOnRanks calls (a rank
+// back-to-back Runs reuse the same threads, rank i on the same thread as
+// last time whenever that thread is free. Nested RunOnRanks calls (a rank
 // spawning sub-ranks) simply acquire more threads. Threads are joined by
 // the pool destructor at process exit.
 class RankThreadPool {
@@ -39,15 +40,7 @@ class RankThreadPool {
   // rejoins the free list.
   Worker* AcquireWorker() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) {
-      all_.push_back(std::make_unique<Worker>());
-      Worker* spawned = all_.back().get();
-      spawned->thread = std::thread([spawned] { WorkerLoop(spawned); });
-      return spawned;
-    }
-    Worker* worker = free_.back();
-    free_.pop_back();
-    return worker;
+    return PopOrSpawnLocked();
   }
 
   void Dispatch(Worker* worker, std::function<void()> task) {
@@ -68,16 +61,25 @@ class RankThreadPool {
     std::vector<Worker*> workers(static_cast<size_t>(world_size), nullptr);
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // Rank affinity first: rank i reruns on the thread that last ran rank
+      // i when that thread is free, so its ParallelFor team and Workspace
+      // stay warm for rank i's shapes. The other ranks take LIFO threads.
+      if (last_ran_.size() < static_cast<size_t>(world_size)) {
+        last_ran_.resize(static_cast<size_t>(world_size), nullptr);
+      }
       for (int rank = 0; rank < world_size; ++rank) {
-        if (free_.empty()) {
-          all_.push_back(std::make_unique<Worker>());
-          Worker* spawned = all_.back().get();
-          spawned->thread = std::thread([spawned] { WorkerLoop(spawned); });
-          workers[static_cast<size_t>(rank)] = spawned;
-        } else {
-          workers[static_cast<size_t>(rank)] = free_.back();
-          free_.pop_back();
+        auto it = std::find(free_.begin(), free_.end(), last_ran_[static_cast<size_t>(rank)]);
+        if (it != free_.end()) {
+          workers[static_cast<size_t>(rank)] = *it;
+          free_.erase(it);
         }
+      }
+      for (int rank = 0; rank < world_size; ++rank) {
+        Worker*& worker = workers[static_cast<size_t>(rank)];
+        if (worker == nullptr) {
+          worker = PopOrSpawnLocked();
+        }
+        last_ran_[static_cast<size_t>(rank)] = worker;
       }
     }
     struct Join {
@@ -137,6 +139,19 @@ class RankThreadPool {
     }
   }
 
+  // LIFO pop of the free list, or a fresh thread when it is empty.
+  Worker* PopOrSpawnLocked() {
+    if (free_.empty()) {
+      all_.push_back(std::make_unique<Worker>());
+      Worker* spawned = all_.back().get();
+      spawned->thread = std::thread([spawned] { WorkerLoop(spawned); });
+      return spawned;
+    }
+    Worker* worker = free_.back();
+    free_.pop_back();
+    return worker;
+  }
+
   void Release(Worker* worker) {
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(worker);
@@ -145,6 +160,7 @@ class RankThreadPool {
   std::mutex mu_;
   std::vector<std::unique_ptr<Worker>> all_;
   std::vector<Worker*> free_;
+  std::vector<Worker*> last_ran_;  // [rank] -> thread that last ran it
 };
 
 }  // namespace

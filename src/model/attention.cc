@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/base/arena.h"
 #include "src/base/logging.h"
@@ -118,54 +117,64 @@ AttentionCoreGrads AttentionCoreBackward(const Tensor& dout, const Tensor& q, co
   const int64_t d = q.dim(2);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
 
+  // Fully written below: every query head scatters its dq slice and every KV
+  // head its dk/dv slices exactly once.
   AttentionCoreGrads grads;
-  grads.dq = Tensor({s, hq, d});
-  grads.dk = Tensor({s, hkv, d});
-  grads.dv = Tensor({s, hkv, d});
+  grads.dq = Tensor::Uninit({s, hq, d});
+  grads.dk = Tensor::Uninit({s, hkv, d});
+  grads.dv = Tensor::Uninit({s, hkv, d});
 
   // dk/dv accumulate across the gqa_ratio query heads sharing a KV head, so
-  // the parallel unit is the KV head group: within a shard the query heads
-  // run in ascending order, keeping the accumulation order identical to the
-  // serial loop for any worker count.
+  // the parallel unit is the KV head group. Each shard runs its groups as
+  // per-head GEMMs on contiguous private scratch (nested GEMMs run inline);
+  // the query heads of a group accumulate in ascending order, so the result
+  // is independent of the worker count.
   ParallelFor(hkv, /*grain=*/1, [&](int64_t kv0, int64_t kv1) {
-    float* dp = ThreadWorkspace().Floats("attn.dp", s);
+    float* scratch = ThreadWorkspace().Floats("attn.bwd", 7 * s * d + s * s);
+    float* kh = scratch;
+    float* vh = kh + s * d;
+    float* qh = vh + s * d;
+    float* douth = qh + s * d;
+    float* dqh = douth + s * d;
+    float* dkh = dqh + s * d;
+    float* dvh = dkh + s * d;
+    float* ds = dvh + s * d;  // [s, s]: dP, then dS in place
     for (int64_t kv_head = kv0; kv_head < kv1; ++kv_head) {
+      GatherHead(k.data(), s, hkv, kv_head, d, kh);
+      GatherHead(v.data(), s, hkv, kv_head, d, vh);
       for (int64_t sub = 0; sub < gqa_ratio; ++sub) {
         const int64_t head = kv_head * gqa_ratio + sub;
+        const float* probs = cache.probs.data() + head * s * s;
+        // The group's first query head overwrites the dk/dv accumulators.
+        const float beta = sub == 0 ? 0.0f : 1.0f;
+        GatherHead(dout.data(), s, hq, head, d, douth);
+        GatherHead(q.data(), s, hq, head, d, qh);
+        // dV += P^T dO; dP = dO V^T.
+        Gemm(true, false, s, d, s, 1.0f, probs, douth, beta, dvh);
+        Gemm(false, true, s, s, d, 1.0f, douth, vh, 0.0f, ds);
+        // dS = P o (dP - rowsum(P o dP)). Masked entries stay exact zeros,
+        // as in the forward's probs, so the full-square GEMMs below equal
+        // the causal sums.
         for (int64_t t = 0; t < s; ++t) {
-          const float* prob_row = cache.probs.data() + (head * s + t) * s;
-          const float* dout_vec = dout.data() + (t * hq + head) * d;
-          const float* q_vec = q.data() + (t * hq + head) * d;
-          float* dq_vec = grads.dq.data() + (t * hq + head) * d;
-
-          // dV[u] += p[u] * dout; dp[u] = dout . v[u].
-          // Softmax backward: dscore[u] = p[u] * (dp[u] - sum_w p[w] dp[w]).
+          const float* prob_row = probs + t * s;
+          float* ds_row = ds + t * s;
           double dot_p_dp = 0.0;
-          // First pass computes dp[0..t] and the weighted sum.
           for (int64_t u = 0; u <= t; ++u) {
-            const float* v_vec = v.data() + (u * hkv + kv_head) * d;
-            float acc = 0.0f;
-            for (int64_t e = 0; e < d; ++e) {
-              acc += dout_vec[e] * v_vec[e];
-            }
-            dp[u] = acc;
-            dot_p_dp += static_cast<double>(prob_row[u]) * acc;
+            dot_p_dp += static_cast<double>(prob_row[u]) * ds_row[u];
           }
+          const float row_sum = static_cast<float>(dot_p_dp);
           for (int64_t u = 0; u <= t; ++u) {
-            const float p_u = prob_row[u];
-            const float dscore =
-                p_u * (dp[u] - static_cast<float>(dot_p_dp));
-            const float* k_vec = k.data() + (u * hkv + kv_head) * d;
-            float* dk_vec = grads.dk.data() + (u * hkv + kv_head) * d;
-            float* dv_vec = grads.dv.data() + (u * hkv + kv_head) * d;
-            for (int64_t e = 0; e < d; ++e) {
-              dq_vec[e] += dscore * scale * k_vec[e];
-              dk_vec[e] += dscore * scale * q_vec[e];
-              dv_vec[e] += p_u * dout_vec[e];
-            }
+            ds_row[u] = prob_row[u] * (ds_row[u] - row_sum);
           }
+          std::fill(ds_row + t + 1, ds_row + s, 0.0f);
         }
+        // dQ = scale dS K; dK += scale dS^T Q.
+        Gemm(false, false, s, d, s, scale, ds, kh, 0.0f, dqh);
+        ScatterHead(dqh, s, hq, head, d, grads.dq.data());
+        Gemm(true, false, s, d, s, scale, ds, qh, beta, dkh);
       }
+      ScatterHead(dkh, s, hkv, kv_head, d, grads.dk.data());
+      ScatterHead(dvh, s, hkv, kv_head, d, grads.dv.data());
     }
   });
   return grads;

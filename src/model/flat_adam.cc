@@ -15,8 +15,6 @@ FlatAdam::FlatAdam(AdamConfig config, int64_t shard_elems)
 
 void FlatAdam::Step(const float* grad, float* master) {
   ++step_;
-  const double bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(step_));
-  const double bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(step_));
   double clip_scale = 1.0;
   if (config_.grad_clip_norm > 0.0) {
     double norm_sq = 0.0;
@@ -28,20 +26,7 @@ void FlatAdam::Step(const float* grad, float* master) {
       clip_scale = config_.grad_clip_norm / norm;
     }
   }
-  for (int64_t i = 0; i < shard_elems_; ++i) {
-    const double g = static_cast<double>(grad[i]) * clip_scale;
-    m_[static_cast<size_t>(i)] = static_cast<float>(
-        config_.beta1 * m_[static_cast<size_t>(i)] + (1.0 - config_.beta1) * g);
-    v_[static_cast<size_t>(i)] = static_cast<float>(
-        config_.beta2 * v_[static_cast<size_t>(i)] + (1.0 - config_.beta2) * g * g);
-    const double m_hat = m_[static_cast<size_t>(i)] / bias1;
-    const double v_hat = v_[static_cast<size_t>(i)] / bias2;
-    double update = m_hat / (std::sqrt(v_hat) + config_.eps);
-    if (config_.weight_decay > 0.0) {
-      update += config_.weight_decay * master[i];
-    }
-    master[i] = static_cast<float>(master[i] - config_.lr * update);
-  }
+  AdamUpdate(config_, step_, clip_scale, shard_elems_, grad, master, m_.data(), v_.data());
 }
 
 std::vector<float> FlatAdam::SaveState() const {

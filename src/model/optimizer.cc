@@ -5,6 +5,47 @@
 #include "src/base/logging.h"
 
 namespace msmoe {
+namespace {
+
+// One loop per weight-decay setting keeps the body branch-free; with
+// -fno-math-errno on this file (src/model/CMakeLists.txt) std::sqrt needs no
+// errno side path, so GCC vectorizes it. Vector lanes round each IEEE double
+// op exactly as scalar code does, so vectorizing changes no bits.
+template <bool kWeightDecay>
+void AdamUpdateLoop(const AdamConfig& config, double bias1, double bias2, double clip_scale,
+                    int64_t n, const float* __restrict grad, float* __restrict param,
+                    float* __restrict m, float* __restrict v) {
+  const double beta1 = config.beta1;
+  const double beta2 = config.beta2;
+  const double eps = config.eps;
+  const double lr = config.lr;
+  const double weight_decay = config.weight_decay;
+  for (int64_t i = 0; i < n; ++i) {
+    const double g = static_cast<double>(grad[i]) * clip_scale;
+    m[i] = static_cast<float>(beta1 * m[i] + (1.0 - beta1) * g);
+    v[i] = static_cast<float>(beta2 * v[i] + (1.0 - beta2) * g * g);
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    double update = m_hat / (std::sqrt(v_hat) + eps);
+    if (kWeightDecay) {
+      update += weight_decay * param[i];
+    }
+    param[i] = static_cast<float>(param[i] - lr * update);
+  }
+}
+
+}  // namespace
+
+void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64_t n,
+                const float* grad, float* param, float* m, float* v) {
+  const double bias1 = 1.0 - std::pow(config.beta1, static_cast<double>(step));
+  const double bias2 = 1.0 - std::pow(config.beta2, static_cast<double>(step));
+  if (config.weight_decay > 0.0) {
+    AdamUpdateLoop<true>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
+  } else {
+    AdamUpdateLoop<false>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
+  }
+}
 
 void AdamOptimizer::Register(Tensor* param) {
   MSMOE_CHECK(param != nullptr);
@@ -32,26 +73,12 @@ void AdamOptimizer::Step(const std::vector<const Tensor*>& grads) {
     }
   }
 
-  const double bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(step_));
-  const double bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(step_));
   for (size_t p = 0; p < params_.size(); ++p) {
     Tensor& param = *params_[p];
     const Tensor& grad = *grads[p];
     MSMOE_CHECK(SameShape(param, grad));
-    Tensor& m = m_[p];
-    Tensor& v = v_[p];
-    for (int64_t i = 0; i < param.numel(); ++i) {
-      const double g = static_cast<double>(grad[i]) * clip_scale;
-      m[i] = static_cast<float>(config_.beta1 * m[i] + (1.0 - config_.beta1) * g);
-      v[i] = static_cast<float>(config_.beta2 * v[i] + (1.0 - config_.beta2) * g * g);
-      const double m_hat = m[i] / bias1;
-      const double v_hat = v[i] / bias2;
-      double update = m_hat / (std::sqrt(v_hat) + config_.eps);
-      if (config_.weight_decay > 0.0) {
-        update += config_.weight_decay * param[i];
-      }
-      param[i] = static_cast<float>(param[i] - config_.lr * update);
-    }
+    AdamUpdate(config_, step_, clip_scale, param.numel(), grad.data(), param.data(),
+               m_[p].data(), v_[p].data());
   }
 }
 

@@ -24,6 +24,13 @@ struct AdamConfig {
   double grad_clip_norm = 0.0;
 };
 
+// The per-element Adam(W) update behind AdamOptimizer and FlatAdam: advances
+// m, v and param over [0, n) by one step (`step` is 1-based) on
+// grad * clip_scale, in double precision per element. The four arrays must
+// not overlap. The loop vectorizes without changing any element's bits.
+void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64_t n,
+                const float* grad, float* param, float* m, float* v);
+
 class AdamOptimizer {
  public:
   explicit AdamOptimizer(AdamConfig config) : config_(config) {}

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -460,6 +461,27 @@ TEST(RunOnRanksTest, ReusesPersistentRankThreads) {
   ASSERT_EQ(first.size(), static_cast<size_t>(n));  // distinct thread per rank
   for (int repeat = 0; repeat < 3; ++repeat) {
     EXPECT_EQ(collect_ids(), first) << "repeat " << repeat;
+  }
+}
+
+// Rank affinity: with the previous threads free, back-to-back RunOnRanks
+// calls run every rank on the very thread that ran it last time, so the
+// rank's ParallelFor team and Workspace stay warm.
+TEST(RunOnRanksTest, EachRankRerunsOnItsPreviousThread) {
+  const int n = 4;
+  auto rank_threads = [&] {
+    std::vector<std::thread::id> ids(static_cast<size_t>(n));
+    RunOnRanks(n, [&](int rank) {
+      ids[static_cast<size_t>(rank)] = std::this_thread::get_id();
+      // Finish in rank order, so a LIFO free list would hand the threads
+      // back reversed.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2 * rank));
+    });
+    return ids;
+  };
+  const std::vector<std::thread::id> first = rank_threads();
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    EXPECT_EQ(rank_threads(), first) << "repeat " << repeat;
   }
 }
 

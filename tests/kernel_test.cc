@@ -7,14 +7,17 @@
 //   - bitwise determinism across worker counts (the contract fused_ops and
 //     fault replay rely on)
 //   - ParallelFor edge cases: empty ranges, nesting, exception propagation,
-//     concurrent callers
+//     concurrent callers (each on its own helper team)
 //   - KernelStats counters
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -287,6 +290,61 @@ TEST(ParallelForTest, ConcurrentCallersEachCoverTheirRange) {
   for (int t = 0; t < kCallers; ++t) {
     EXPECT_EQ(totals[static_cast<size_t>(t)], 20 * 100) << "caller " << t;
   }
+}
+
+// Every calling thread fans out to a team of its own: two concurrent callers
+// at width 2 must run their helper shards on two different helper threads.
+// Shard 0 sleeps so each caller's helper starts shard 1 before its owner
+// could take it over.
+TEST(ParallelForTest, ConcurrentCallersUseDisjointHelpers) {
+  const int restore = ParallelWorkerCount();
+  SetParallelWorkerCount(2);
+  constexpr int kCallers = 2;
+  std::vector<std::set<std::thread::id>> helpers(kCallers);
+  std::barrier start(kCallers);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      const std::thread::id caller = std::this_thread::get_id();
+      start.arrive_and_wait();
+      for (int iter = 0; iter < 20; ++iter) {
+        ParallelFor(2, 1, [&](int64_t begin, int64_t) {
+          if (begin == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          } else if (std::this_thread::get_id() != caller) {
+            // Only caller t's helpers write helpers[t], one call at a time.
+            helpers[static_cast<size_t>(t)].insert(std::this_thread::get_id());
+          }
+        });
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  SetParallelWorkerCount(restore);
+  ASSERT_EQ(helpers[0].size(), 1u);  // one persistent helper per caller
+  ASSERT_EQ(helpers[1].size(), 1u);
+  EXPECT_NE(*helpers[0].begin(), *helpers[1].begin());
+}
+
+// The owner never waits on a helper that has not started its shard yet: with
+// empty shards it finishes shard 0 before its helper wakes and runs shard 1
+// itself, at least sometimes over many calls.
+TEST(ParallelForTest, OwnerRunsShardsNoHelperHasStarted) {
+  const int restore = ParallelWorkerCount();
+  SetParallelWorkerCount(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  int shard1_on_caller = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    ParallelFor(2, 1, [&](int64_t begin, int64_t) {
+      if (begin == 1 && std::this_thread::get_id() == caller) {
+        ++shard1_on_caller;  // only the caller writes: no race
+      }
+    });
+  }
+  SetParallelWorkerCount(restore);
+  EXPECT_GT(shard1_on_caller, 0);
 }
 
 TEST(KernelStatsTest, CountsGemmAndGroupedGemm) {

@@ -1,18 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "src/base/parallel_for.h"
 #include "src/base/rng.h"
 #include "src/model/attention.h"
 #include "src/model/config.h"
+#include "src/model/flat_adam.h"
 #include "src/model/grouped_gemm.h"
 #include "src/model/lm.h"
 #include "src/model/moe_layer.h"
 #include "src/model/optimizer.h"
 #include "src/model/router.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/reference_attention.h"
 
 namespace msmoe {
 namespace {
@@ -133,42 +139,123 @@ TEST(AttentionTest, ProbabilitiesNormalized) {
   }
 }
 
-TEST(AttentionTest, BackwardFiniteDifference) {
-  Rng rng(4);
-  const int64_t s = 4, hq = 2, hkv = 1, d = 4;
-  Tensor q = Tensor::Randn({s, hq, d}, rng);
-  Tensor k = Tensor::Randn({s, hkv, d}, rng);
-  Tensor v = Tensor::Randn({s, hkv, d}, rng);
-  Tensor dout = Tensor::Randn({s, hq, d}, rng);
-  AttentionCoreCache cache;
-  AttentionCore(q, k, v, 2, &cache);
-  AttentionCoreGrads grads = AttentionCoreBackward(dout, q, k, v, 2, cache);
+struct AttentionCase {
+  int64_t s, hq, hkv, d;
+};
 
-  auto loss = [&] {
-    AttentionCoreCache c;
-    Tensor out = AttentionCore(q, k, v, 2, &c);
-    double total = 0.0;
-    for (int64_t i = 0; i < out.numel(); ++i) {
-      total += out[i] * dout[i];
-    }
-    return total;
+struct AttentionInputs {
+  Tensor q, k, v, dout;
+  int64_t gqa_ratio;
+  AttentionCoreCache cache;
+};
+
+AttentionInputs MakeAttentionInputs(const AttentionCase& c, uint64_t seed) {
+  Rng rng(seed);
+  AttentionInputs in{Tensor::Randn({c.s, c.hq, c.d}, rng), Tensor::Randn({c.s, c.hkv, c.d}, rng),
+                     Tensor::Randn({c.s, c.hkv, c.d}, rng), Tensor::Randn({c.s, c.hq, c.d}, rng),
+                     c.hq / c.hkv, {}};
+  AttentionCore(in.q, in.k, in.v, in.gqa_ratio, &in.cache);
+  return in;
+}
+
+// max |x - ref| over max |ref|: a per-tensor relative error that stays
+// meaningful for elements near zero.
+double MaxRelativeError(const Tensor& x, const Tensor& ref) {
+  double max_diff = 0.0;
+  double max_ref = 0.0;
+  for (int64_t i = 0; i < ref.numel(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(static_cast<double>(x[i]) - ref[i]));
+    max_ref = std::max(max_ref, std::fabs(static_cast<double>(ref[i])));
+  }
+  return max_diff / std::max(max_ref, 1e-30);
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// (s, hq, hkv, d): the benchmark model's shape, pure multi-query (hkv = 1),
+// a sequence shorter than every GEMM tile, and plain multi-head at s = 128.
+const AttentionCase kAttentionCases[] = {{64, 8, 4, 8}, {64, 2, 1, 8}, {5, 4, 2, 8},
+                                         {128, 4, 4, 16}};
+
+// Central differences of <AttentionCore(q, k, v), dout> on every `stride`-th
+// input element: a tiny case, and one long enough to span several GEMM tiles.
+TEST(AttentionTest, BackwardFiniteDifference) {
+  struct FdCase {
+    AttentionCase shape;
+    uint64_t seed;
+    int64_t stride;
   };
-  const float eps = 1e-3f;
-  auto check = [&](Tensor& x, const Tensor& dx) {
-    for (int64_t i = 0; i < x.numel(); i += 3) {
-      const float original = x[i];
-      x[i] = original + eps;
-      const double up = loss();
-      x[i] = original - eps;
-      const double down = loss();
-      x[i] = original;
-      const double numeric = (up - down) / (2.0 * eps);
-      EXPECT_NEAR(dx[i], numeric, 2e-2 * std::max(1.0, std::fabs(numeric))) << i;
+  for (const FdCase& fd : {FdCase{{4, 2, 1, 4}, 4, 3}, FdCase{{64, 4, 2, 8}, 13, 97}}) {
+    AttentionInputs in = MakeAttentionInputs(fd.shape, fd.seed);
+    const AttentionCoreGrads grads =
+        AttentionCoreBackward(in.dout, in.q, in.k, in.v, in.gqa_ratio, in.cache);
+    auto loss = [&] {
+      AttentionCoreCache c;
+      Tensor out = AttentionCore(in.q, in.k, in.v, in.gqa_ratio, &c);
+      double total = 0.0;
+      for (int64_t i = 0; i < out.numel(); ++i) {
+        total += out[i] * in.dout[i];
+      }
+      return total;
+    };
+    const float eps = 1e-3f;
+    auto check = [&](Tensor& x, const Tensor& dx) {
+      for (int64_t i = 0; i < x.numel(); i += fd.stride) {
+        const float original = x[i];
+        x[i] = original + eps;
+        const double up = loss();
+        x[i] = original - eps;
+        const double down = loss();
+        x[i] = original;
+        const double numeric = (up - down) / (2.0 * eps);
+        EXPECT_NEAR(dx[i], numeric, 2e-2 * std::max(1.0, std::fabs(numeric)))
+            << "s=" << fd.shape.s << " i=" << i;
+      }
+    };
+    check(in.q, grads.dq);
+    check(in.k, grads.dk);
+    check(in.v, grads.dv);
+  }
+}
+
+TEST(AttentionTest, BackwardMatchesScalarOracle) {
+  for (const AttentionCase& c : kAttentionCases) {
+    const AttentionInputs in = MakeAttentionInputs(c, 11);
+    const AttentionCoreGrads got =
+        AttentionCoreBackward(in.dout, in.q, in.k, in.v, in.gqa_ratio, in.cache);
+    const AttentionCoreGrads want =
+        ReferenceAttentionBackward(in.dout, in.q, in.k, in.v, in.gqa_ratio, in.cache);
+    ASSERT_EQ(got.dq.shape(), want.dq.shape());
+    ASSERT_EQ(got.dk.shape(), want.dk.shape());
+    ASSERT_EQ(got.dv.shape(), want.dv.shape());
+    const std::string where = "s=" + std::to_string(c.s) + " hq=" + std::to_string(c.hq) +
+                              " hkv=" + std::to_string(c.hkv) + " d=" + std::to_string(c.d);
+    EXPECT_LT(MaxRelativeError(got.dq, want.dq), 2e-5) << where;
+    EXPECT_LT(MaxRelativeError(got.dk, want.dk), 2e-5) << where;
+    EXPECT_LT(MaxRelativeError(got.dv, want.dv), 2e-5) << where;
+  }
+}
+
+TEST(AttentionTest, BackwardBitwiseAcrossWorkerCounts) {
+  const int restore = ParallelWorkerCount();
+  for (const AttentionCase& c : kAttentionCases) {
+    const AttentionInputs in = MakeAttentionInputs(c, 12);
+    SetParallelWorkerCount(1);
+    const AttentionCoreGrads one =
+        AttentionCoreBackward(in.dout, in.q, in.k, in.v, in.gqa_ratio, in.cache);
+    for (int workers : {2, 3}) {
+      SetParallelWorkerCount(workers);
+      const AttentionCoreGrads many =
+          AttentionCoreBackward(in.dout, in.q, in.k, in.v, in.gqa_ratio, in.cache);
+      EXPECT_TRUE(SameBits(many.dq, one.dq)) << "s=" << c.s << " workers=" << workers;
+      EXPECT_TRUE(SameBits(many.dk, one.dk)) << "s=" << c.s << " workers=" << workers;
+      EXPECT_TRUE(SameBits(many.dv, one.dv)) << "s=" << c.s << " workers=" << workers;
     }
-  };
-  check(q, grads.dq);
-  check(k, grads.dk);
-  check(v, grads.dv);
+  }
+  SetParallelWorkerCount(restore);
 }
 
 RouterConfig MakeRouterConfig(int64_t experts, int64_t k) {
@@ -599,6 +686,126 @@ TEST(OptimizerTest, StateSaveRestoreDeterministic) {
   Tensor a = run(false);
   Tensor b = run(true);
   EXPECT_LT(a.RelativeL2Diff(b), 1e-6);
+}
+
+// The scalar update loop AdamOptimizer and FlatAdam each ran before they
+// shared AdamUpdate, kept verbatim as the bitwise oracle of the vectorized
+// kernel.
+void ScalarAdamLoop(const AdamConfig& config, int64_t step, double clip_scale, int64_t n,
+                    const float* grad, float* param, float* m, float* v) {
+  const double bias1 = 1.0 - std::pow(config.beta1, static_cast<double>(step));
+  const double bias2 = 1.0 - std::pow(config.beta2, static_cast<double>(step));
+  for (int64_t i = 0; i < n; ++i) {
+    const double g = static_cast<double>(grad[i]) * clip_scale;
+    m[i] = static_cast<float>(config.beta1 * m[i] + (1.0 - config.beta1) * g);
+    v[i] = static_cast<float>(config.beta2 * v[i] + (1.0 - config.beta2) * g * g);
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    double update = m_hat / (std::sqrt(v_hat) + config.eps);
+    if (config.weight_decay > 0.0) {
+      update += config.weight_decay * param[i];
+    }
+    param[i] = static_cast<float>(param[i] - config.lr * update);
+  }
+}
+
+double ClipScale(const AdamConfig& config, const std::vector<const Tensor*>& grads) {
+  if (config.grad_clip_norm <= 0.0) {
+    return 1.0;
+  }
+  double norm_sq = 0.0;
+  for (const Tensor* grad : grads) {
+    for (int64_t i = 0; i < grad->numel(); ++i) {
+      norm_sq += static_cast<double>((*grad)[i]) * (*grad)[i];
+    }
+  }
+  const double norm = std::sqrt(norm_sq);
+  return norm > config.grad_clip_norm ? config.grad_clip_norm / norm : 1.0;
+}
+
+TEST(OptimizerTest, SharedUpdateBitwiseEqualsScalarLoop) {
+  const std::vector<int64_t> sizes = {1000, 37, 4099};  // odd tails on every vector width
+  for (double clip : {0.0, 1.0}) {
+    for (double decay : {0.0, 0.01}) {
+      AdamConfig config;
+      config.lr = 3e-3;
+      config.grad_clip_norm = clip;
+      config.weight_decay = decay;
+      Rng rng(21);
+      std::vector<Tensor> params;
+      for (int64_t size : sizes) {
+        params.push_back(Tensor::Randn({size}, rng));
+      }
+      std::vector<Tensor> oracle = params;  // param copies the scalar loop steps
+      std::vector<Tensor> m, v;
+      for (int64_t size : sizes) {
+        m.emplace_back(std::vector<int64_t>{size});
+        v.emplace_back(std::vector<int64_t>{size});
+      }
+      AdamOptimizer adam(config);
+      for (Tensor& param : params) {
+        adam.Register(&param);
+      }
+      // FlatAdam over the concatenation, clipped by its own (whole) norm.
+      const int64_t total = std::accumulate(sizes.begin(), sizes.end(), int64_t{0});
+      FlatAdam flat(config, total);
+      std::vector<float> flat_master, flat_oracle, flat_m(static_cast<size_t>(total)),
+          flat_v(static_cast<size_t>(total));
+      for (const Tensor& param : params) {
+        flat_master.insert(flat_master.end(), param.data(), param.data() + param.numel());
+      }
+      flat_oracle = flat_master;
+
+      const std::string where =
+          "clip=" + std::to_string(clip) + " decay=" + std::to_string(decay);
+      for (int64_t step = 1; step <= 4; ++step) {
+        std::vector<Tensor> grads;
+        std::vector<const Tensor*> grad_ptrs;
+        std::vector<float> flat_grad;
+        for (int64_t size : sizes) {
+          grads.push_back(Tensor::Randn({size}, rng));
+        }
+        for (const Tensor& grad : grads) {
+          grad_ptrs.push_back(&grad);
+          flat_grad.insert(flat_grad.end(), grad.data(), grad.data() + grad.numel());
+        }
+        adam.Step(grad_ptrs);
+        const double clip_scale = ClipScale(config, grad_ptrs);
+        for (size_t p = 0; p < sizes.size(); ++p) {
+          ScalarAdamLoop(config, step, clip_scale, sizes[p], grads[p].data(), oracle[p].data(),
+                         m[p].data(), v[p].data());
+          EXPECT_TRUE(SameBits(params[p], oracle[p])) << where << " step " << step;
+        }
+        flat.Step(flat_grad.data(), flat_master.data());
+        Tensor flat_grad_tensor = Tensor::FromVector({total}, flat_grad);
+        ScalarAdamLoop(config, step, ClipScale(config, {&flat_grad_tensor}), total,
+                       flat_grad.data(), flat_oracle.data(), flat_m.data(), flat_v.data());
+        EXPECT_EQ(std::memcmp(flat_master.data(), flat_oracle.data(),
+                              flat_master.size() * sizeof(float)),
+                  0)
+            << where << " step " << step;
+      }
+      // Moments too: SaveState is [step, m_0, v_0, m_1, v_1, ...].
+      std::vector<float> want_state = {4.0f};
+      for (size_t p = 0; p < sizes.size(); ++p) {
+        want_state.insert(want_state.end(), m[p].data(), m[p].data() + m[p].numel());
+        want_state.insert(want_state.end(), v[p].data(), v[p].data() + v[p].numel());
+      }
+      const std::vector<float> state = adam.SaveState();
+      ASSERT_EQ(state.size(), want_state.size());
+      EXPECT_EQ(std::memcmp(state.data(), want_state.data(), state.size() * sizeof(float)), 0)
+          << where;
+      std::vector<float> want_flat_state = {4.0f};
+      want_flat_state.insert(want_flat_state.end(), flat_m.begin(), flat_m.end());
+      want_flat_state.insert(want_flat_state.end(), flat_v.begin(), flat_v.end());
+      const std::vector<float> flat_state = flat.SaveState();
+      ASSERT_EQ(flat_state.size(), want_flat_state.size());
+      EXPECT_EQ(std::memcmp(flat_state.data(), want_flat_state.data(),
+                            flat_state.size() * sizeof(float)),
+                0)
+          << where;
+    }
+  }
 }
 
 TEST(LmTest, LossDecreasesWithTraining) {

@@ -5,13 +5,16 @@
 # compute backend. The collectives run real thread ranks over shared
 # buffers, so comm_test / kernel_test / parallel_test / telemetry_test /
 # fault_test / elastic_test / fused_ops_test / exec_graph_test / property_test
-# under TSan are the races-or-not verdict for the whole substrate
-# (fused_ops_test hammers the chunked async pipelines; exec_graph_test
-# hammers the runtime task-graph executor across streams and randomized
-# schedules; property_test pins the fused EP dispatch pipeline against the
-# single-rank reference across worker, chunk and top-k counts); fault_test
-# (including the SP+EP layer crash sweep) and the recovery bench under ASan
-# cover the checkpoint IO and buffer-corruption paths, and parallel_test /
+# / model_test under TSan are the races-or-not verdict for the whole substrate
+# (kernel_test covers concurrent callers' ParallelFor teams; model_test
+# fans the attention backward out across KV-head shards, each on private
+# Workspace scratch under nested GEMMs; fused_ops_test hammers the chunked
+# async pipelines; exec_graph_test hammers the runtime task-graph executor
+# across streams and randomized schedules; property_test pins the fused EP
+# dispatch pipeline against the single-rank reference across worker, chunk
+# and top-k counts); fault_test (including the SP+EP layer crash sweep) and
+# the recovery bench under ASan cover the checkpoint IO and
+# buffer-corruption paths, and parallel_test /
 # property_test under ASan cover the Workspace-staged dispatch packing;
 # the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
@@ -43,14 +46,15 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
-echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + obs_test =="
+echo "== TSan: tensor_test + comm_test + kernel_test + model_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + obs_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_test \
-  telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
+cmake --build build-tsan -j --target tensor_test comm_test kernel_test model_test \
+  parallel_test telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
   property_test obs_test bench_fault_recovery >/dev/null
 ./build-tsan/tests/tensor_test
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/kernel_test
+./build-tsan/tests/model_test
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/fault_test
