@@ -318,114 +318,40 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartReduceScatter(
 }
 
 std::unique_ptr<CommHandle> AsyncCommDriver::StartAllToAllV(
-    const AsyncOpParams& params, const void* send,
-    const std::vector<int64_t>& send_counts,
-    const std::function<void*(int64_t)>& resize_recv, int num_chunks) {
+    const AsyncOpParams& params, const void* send, const std::vector<int64_t>& send_counts,
+    void* recv, const std::vector<int64_t>& recv_counts) {
   const int n = params.group_size;
   MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), n);
-  int chunks = num_chunks < 1 ? 1 : num_chunks;
-  // The recv split is data-dependent (counts are exchanged on the comm
-  // thread), so the handle's element layout is empty; chunk c always
-  // delivers the c-th near-even slice of every source's block.
-  ChunkLayout layout(0, 1, 1);
+  MSMOE_CHECK_EQ(static_cast<int>(recv_counts.size()), n);
+  const int64_t eb = params.elem_bytes;
+  std::vector<int64_t> send_bytes(static_cast<size_t>(n));
+  std::vector<int64_t> recv_bytes(static_cast<size_t>(n));
+  int64_t recv_total = 0;
+  for (size_t peer = 0; peer < static_cast<size_t>(n); ++peer) {
+    send_bytes[peer] = send_counts[peer] * eb;
+    recv_bytes[peer] = recv_counts[peer] * eb;
+    recv_total += recv_counts[peer];
+  }
   std::unique_ptr<CommHandle> handle(new CommHandle(
-      std::move(layout), chunks, params.channel, /*producer_gated=*/false));
+      ChunkLayout(0, 1, 1), /*num_chunks=*/1, params.channel, /*producer_gated=*/false));
   CommHandle* h = handle.get();
-  const auto* send_bytes = static_cast<const uint8_t*>(send);
-  params.thread->Submit([params, h, send_bytes, send_counts, resize_recv, chunks, n] {
-    const int eb = params.elem_bytes;
-    // Metadata rendezvous: publish the counts matrix through the channel's
-    // shared slots exactly like the monolithic AllToAllV (no wire bytes, no
-    // event — it is not payload).
-    std::vector<int64_t> all_counts;
-    Status status =
-        params.channel->TryExchangeCounts(params.member, send_counts, &all_counts);
-    if (!status.ok()) {
-      h->barrier_.Cancel(status);
-      h->MarkRetired();
-      return;
-    }
-    auto count_at = [&all_counts, n](int src, int dst) {
-      return all_counts[static_cast<size_t>(src) * static_cast<size_t>(n) +
-                        static_cast<size_t>(dst)];
-    };
-    // Per-(src,dst) chunk layouts — linear in payload, so per-chunk volumes
-    // sum exactly to the monolithic A2AV volume.
-    std::vector<ChunkLayout> pair_layout;
-    pair_layout.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < n; ++dst) {
-        pair_layout.emplace_back(count_at(src, dst), chunks, 1, /*pad_chunks=*/true);
-      }
-    }
-    auto pair_at = [&pair_layout, n](int src, int dst) -> const ChunkLayout& {
-      return pair_layout[static_cast<size_t>(src) * static_cast<size_t>(n) +
-                         static_cast<size_t>(dst)];
-    };
-    // Full-op send/recv offsets (dest-major send, source-major recv).
-    std::vector<int64_t> send_prefix(static_cast<size_t>(n) + 1, 0);
-    std::vector<int64_t> recv_prefix(static_cast<size_t>(n) + 1, 0);
-    for (int peer = 0; peer < n; ++peer) {
-      send_prefix[static_cast<size_t>(peer) + 1] =
-          send_prefix[static_cast<size_t>(peer)] + count_at(params.member, peer);
-      recv_prefix[static_cast<size_t>(peer) + 1] =
-          recv_prefix[static_cast<size_t>(peer)] + count_at(peer, params.member);
-    }
-    h->recv_counts_.assign(static_cast<size_t>(n), 0);
-    for (int src = 0; src < n; ++src) {
-      h->recv_counts_[static_cast<size_t>(src)] = count_at(src, params.member);
-    }
-    auto* recv_bytes =
-        static_cast<uint8_t*>(resize_recv(recv_prefix[static_cast<size_t>(n)]));
-    Workspace& ws = ThreadWorkspace();
-    std::vector<int64_t> chunk_send_bytes(static_cast<size_t>(n), 0);
-    std::vector<int64_t> chunk_recv_counts;
-    // A chunk's sub-layout within each pair block mirrors the monolithic
-    // layout, so after the last chunk the receive buffer is bitwise the
-    // monolithic result.
-    for (int c = 0; c < chunks; ++c) {
-      const double start = params.telemetry->NowUs();
-      int64_t send_total = 0;
-      for (int dst = 0; dst < n; ++dst) {
-        chunk_send_bytes[static_cast<size_t>(dst)] = pair_at(params.member, dst).size(c) * eb;
-        send_total += pair_at(params.member, dst).size(c);
-      }
-      uint8_t* send_scratch = ws.Bytes("asynccomm.a2av.send", send_total * eb);
-      int64_t packed = 0;
-      for (int dst = 0; dst < n; ++dst) {
-        const ChunkLayout& pl = pair_at(params.member, dst);
-        std::memcpy(send_scratch + packed * eb,
-                    send_bytes + (send_prefix[static_cast<size_t>(dst)] + pl.begin(c)) * eb,
-                    static_cast<size_t>(pl.size(c)) * static_cast<size_t>(eb));
-        packed += pl.size(c);
-      }
-      int64_t recv_total = 0;
-      for (int src = 0; src < n; ++src) {
-        recv_total += pair_at(src, params.member).size(c);
-      }
-      uint8_t* recv_scratch = ws.Bytes("asynccomm.a2av.recv", recv_total * eb);
-      uint64_t wire = 0;
-      Status st = params.channel->TryAllToAllV(params.member, send_scratch,
-                                               chunk_send_bytes, recv_scratch,
-                                               &chunk_recv_counts, &wire);
-      if (!st.ok()) {
-        h->barrier_.Cancel(st);
-        break;
-      }
-      if (c == chunks - 1 && params.fault.corrupt) {
-        FlipOneBit(recv_scratch, recv_total * eb, params.fault.corrupt_seed);
-      }
-      int64_t unpacked = 0;
-      for (int src = 0; src < n; ++src) {
-        const ChunkLayout& pl = pair_at(src, params.member);
-        std::memcpy(recv_bytes + (recv_prefix[static_cast<size_t>(src)] + pl.begin(c)) * eb,
-                    recv_scratch + unpacked * eb,
-                    static_cast<size_t>(pl.size(c)) * static_cast<size_t>(eb));
-        unpacked += pl.size(c);
+  const auto* send_buf = static_cast<const uint8_t*>(send);
+  auto* recv_buf = static_cast<uint8_t*>(recv);
+  params.thread->Submit([params, h, send_buf, recv_buf, send_bytes = std::move(send_bytes),
+                         recv_bytes = std::move(recv_bytes), recv_total, eb] {
+    const double start = params.telemetry->NowUs();
+    uint64_t wire = 0;
+    const Status status = params.channel->TryAllToAllVDeclared(
+        params.member, send_buf, send_bytes, recv_buf, recv_bytes, &wire);
+    if (status.ok()) {
+      if (params.fault.corrupt) {
+        FlipOneBit(recv_buf, recv_total * eb, params.fault.corrupt_seed);
       }
       params.telemetry->Record(ChunkEvent(params, CommOp::kAllToAllV, "pairwise",
-                                          recv_total, wire, c, chunks, start));
-      h->barrier_.MarkReady(c);
+                                          recv_total, wire, 0, 1, start));
+      h->barrier_.MarkReady(0);
+    } else {
+      h->barrier_.Cancel(status);
     }
     h->MarkRetired();
   });

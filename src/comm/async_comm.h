@@ -1,16 +1,24 @@
 // Nonblocking chunked collectives over the thread-rank substrate — the
 // functional analogue of §4.2's tile-signaled communication kernels.
 //
-// A Communicator::Start* call (communicator.h) splits one logical
-// collective into C contiguous chunks and enqueues a driver onto the rank's
-// persistent comm-proxy thread (PooledThread — the "communication stream").
-// The driver runs the chunks one by one over a DEDICATED async-channel
-// CollectiveGroup and publishes each chunk's readiness through the
-// returned CommHandle; the rank's main thread keeps computing and consumes
-// chunks with WaitChunk(i) / WaitAll(). Producer-gated ops (reduce-scatter:
-// the input of chunk i is a GEMM tile that lands mid-pipeline) go the other
-// way: the comm thread blocks in WaitSignal(i) until the caller's
-// SignalChunkReady(i).
+// A Communicator::Start* call (communicator.h) enqueues one task onto the
+// rank's persistent comm-proxy thread (PooledThread — the "communication
+// stream"). All-gather and reduce-scatter split one logical collective into
+// C contiguous chunks; the task runs them one by one over a DEDICATED
+// async-channel CollectiveGroup and publishes each chunk's readiness
+// through the returned CommHandle; the rank's main thread keeps computing
+// and consumes chunks with WaitChunk(i) / WaitAll(). Producer-gated ops
+// (reduce-scatter: the input of chunk i is a GEMM tile that lands
+// mid-pipeline) go the other way: the comm thread blocks in WaitSignal(i)
+// until the caller's SignalChunkReady(i).
+//
+// All-to-all-v is one chunk: the caller declares the receive counts and
+// passes a buffer it already sized, so the op is a single data rendezvous
+// straight from the send buffer into the receive buffer — no counts
+// exchange, no staging copies. Pipelines (the EP dispatch) issue one handle
+// per chunk and take the counts from their own metadata exchange. A
+// declaration that disagrees with what the peers send fails the op on every
+// rank (kInvalidArgument) before a byte is copied.
 //
 // Ordering contract (why determinism survives overlap):
 //   * every rank must issue the same Start* sequence — comm threads execute
@@ -39,7 +47,6 @@
 #define MSMOE_SRC_COMM_ASYNC_COMM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,8 +62,8 @@ namespace msmoe {
 // output row). Identical on every rank for identical inputs. `count` must
 // be a multiple of `quantum`; num_chunks is clamped to the row count (and
 // to >= 1, so count == 0 yields one empty chunk) unless `pad_chunks` asks
-// for exactly num_chunks chunks, empty tail included — the A2AV driver
-// needs every (src, dst) pair to agree on the chunk count.
+// for exactly num_chunks chunks, empty tail included — the EP pipeline
+// needs every rank to agree on the chunk count, however few tokens it has.
 class ChunkLayout {
  public:
   ChunkLayout(int64_t count, int num_chunks, int64_t quantum, bool pad_chunks = false);
@@ -116,9 +123,8 @@ class CommHandle {
   CommHandle& operator=(const CommHandle&) = delete;
 
   int num_chunks() const { return num_chunks_; }
-  // Element layout of the chunks (all-gather / reduce-scatter). For
-  // all-to-all-v the split is data-dependent and this layout is empty; use
-  // recv_counts() instead.
+  // Element layout of the chunks (all-gather / reduce-scatter). All-to-all-v
+  // is a single chunk with an empty layout: the caller declared its counts.
   const ChunkLayout& layout() const { return layout_; }
 
   // Blocks until chunk `i`'s slice of the result is in the receive buffer
@@ -135,10 +141,6 @@ class CommHandle {
   // in any order; the comm thread consumes chunks in index order.
   void SignalChunkReady(int chunk);
 
-  // All-to-all-v only: per-source element counts received by this rank.
-  // Valid after the first successful WaitChunk/WaitAll.
-  const std::vector<int64_t>& recv_counts() const { return recv_counts_; }
-
  private:
   friend class Communicator;
   friend class AsyncCommDriver;
@@ -154,7 +156,6 @@ class CommHandle {
   CollectiveGroup* channel_;   // aborted by the dtor on mid-pipeline cancel
   const bool producer_gated_;
   ChunkBarrier barrier_;
-  std::vector<int64_t> recv_counts_;
 
   std::mutex retire_mu_;
   std::condition_variable retire_cv_;
@@ -200,14 +201,14 @@ class AsyncCommDriver {
                                                         const float* send, float* recv,
                                                         int64_t count, int num_chunks,
                                                         int64_t quantum);
-  // resize_recv(total_elements) must resize the caller's receive storage and
-  // return its base pointer; it runs on the comm thread once the counts
-  // exchange fixed the receive size, so the caller must not touch the
-  // receive buffer until the first WaitChunk returns.
-  static std::unique_ptr<CommHandle> StartAllToAllV(
-      const AsyncOpParams& params, const void* send,
-      const std::vector<int64_t>& send_counts,
-      const std::function<void*(int64_t)>& resize_recv, int num_chunks);
+  // send_counts[d] / recv_counts[s] are element counts to member d / from
+  // member s; recv holds sum(recv_counts) elements. One chunk, one
+  // rendezvous (see the header comment).
+  static std::unique_ptr<CommHandle> StartAllToAllV(const AsyncOpParams& params,
+                                                    const void* send,
+                                                    const std::vector<int64_t>& send_counts,
+                                                    void* recv,
+                                                    const std::vector<int64_t>& recv_counts);
 
   // A handle that is already failed: every WaitChunk/WaitAll returns
   // `status` immediately and no comm thread is involved. Returned by

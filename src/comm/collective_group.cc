@@ -5,6 +5,11 @@
 #include <deque>
 #include <string>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace msmoe {
 namespace {
 
@@ -168,6 +173,18 @@ class RankThreadPool {
 // --------------------------------------------------------------------------
 // PooledThread
 
+namespace {
+
+void RestoreNormalSchedPolicy() {
+#if defined(__linux__)
+  sched_param param{};
+  param.sched_priority = 0;
+  (void)pthread_setschedparam(pthread_self(), SCHED_OTHER, &param);
+#endif
+}
+
+}  // namespace
+
 struct PooledThread::State {
   std::mutex mu;
   std::condition_variable cv;        // wakes the loop on submit/shutdown
@@ -194,8 +211,6 @@ PooledThread::PooledThread() : state_(std::make_shared<State>()) {
         state->cv.wait(lock,
                        [&state] { return !state->queue.empty() || state->shutdown; });
         if (state->queue.empty()) {
-          state->exited = true;
-          state->cv_idle.notify_all();
           break;
         }
         task = std::move(state->queue.front());
@@ -204,7 +219,15 @@ PooledThread::PooledThread() : state_(std::make_shared<State>()) {
       }
       task();
     }
+    // A comm proxy raises itself to SCHED_FIFO (TryElevateCommThreadPriority);
+    // the thread's next occupant — a rank and the ParallelFor helpers it
+    // spawns — must get it back at the normal policy.
+    RestoreNormalSchedPolicy();
     pool.ReleaseWorker(worker);
+    // Only now may the destructor return: the thread is back in the pool.
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->exited = true;
+    state->cv_idle.notify_all();
   });
 }
 
@@ -235,17 +258,25 @@ void PooledThread::Drain() {
 CollectiveGroup::CollectiveGroup(int size)
     : size_(size),
       send_slots_(static_cast<size_t>(size), nullptr),
+      recv_slots_(static_cast<size_t>(size), nullptr),
       counts_(static_cast<size_t>(size) * static_cast<size_t>(size), 0),
       scalars_(static_cast<size_t>(size), 0.0),
       arrived_members_(static_cast<size_t>(size), 0),
+      reading_(static_cast<size_t>(size), 0),
       recovery_barrier_(size) {
   MSMOE_CHECK_GT(size, 0);
 }
 
-Status CollectiveGroup::SyncPoint(int member) {
+Status CollectiveGroup::SyncPoint(int member, bool opens_read) {
   std::unique_lock<std::mutex> lock(mu_);
+  if (member >= 0 && reading_[static_cast<size_t>(member)] != 0) {
+    reading_[static_cast<size_t>(member)] = 0;
+    if (--readers_ == 0 && !abort_status_.ok()) {
+      cv_.notify_all();  // an aborted member may be waiting to leave
+    }
+  }
   if (!abort_status_.ok()) {
-    return abort_status_;
+    return LeaveAborted(lock);
   }
   const uint64_t generation = generation_;
   if (member >= 0) {
@@ -255,6 +286,10 @@ Status CollectiveGroup::SyncPoint(int member) {
     arrived_ = 0;
     std::fill(arrived_members_.begin(), arrived_members_.end(), 0);
     ++generation_;
+    if (opens_read) {
+      std::fill(reading_.begin(), reading_.end(), 1);
+      readers_ = size_;
+    }
     cv_.notify_all();
     return Status::Ok();
   }
@@ -291,7 +326,7 @@ Status CollectiveGroup::SyncPoint(int member) {
         culprit_rank_ = culprit;
       }
       cv_.notify_all();
-      return abort_status_;
+      return LeaveAborted(lock);
     }
   }
   if (generation_ != generation) {
@@ -299,14 +334,21 @@ Status CollectiveGroup::SyncPoint(int member) {
     // completed even if an abort was raised immediately after.
     return Status::Ok();
   }
+  return LeaveAborted(lock);
+}
+
+Status CollectiveGroup::LeaveAborted(std::unique_lock<std::mutex>& lock) {
+  // A peer that passed this generation's barrier before the abort may still
+  // be reading this member's buffers; the caller frees them on return.
+  cv_.wait(lock, [this] { return readers_ == 0; });
   return abort_status_;
 }
 
 Status CollectiveGroup::TryBarrier(int member) { return SyncPoint(member); }
 
-Status CollectiveGroup::EmulateWire(uint64_t bytes) {
+void CollectiveGroup::EmulateWire(uint64_t bytes) {
   if (!wire_model_enabled()) {
-    return Status::Ok();
+    return;
   }
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -316,7 +358,6 @@ Status CollectiveGroup::EmulateWire(uint64_t bytes) {
   // Every member sleeps the same duration concurrently, so the collective
   // as a whole is delayed by one wire time. An abort cuts the sleep short.
   cv_.wait_until(lock, deadline, [this] { return !abort_status_.ok(); });
-  return abort_status_;
 }
 
 void CollectiveGroup::Abort(Status status, int culprit_rank) {
@@ -369,6 +410,8 @@ void CollectiveGroup::ResetAbort() {
   aborted_.store(false, std::memory_order_release);
   arrived_ = 0;
   std::fill(arrived_members_.begin(), arrived_members_.end(), 0);
+  std::fill(reading_.begin(), reading_.end(), 0);
+  readers_ = 0;
   culprit_rank_ = -1;
   // Release any waiter stranded on the pre-abort generation (there are none
   // under the RecoveryBarrier protocol, but a bumped generation makes the
@@ -387,9 +430,6 @@ void CollectiveGroup::RecoveryBarrier(int member) {
 }
 
 void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& counts) {
-  if (aborted()) {
-    return;
-  }
   for (int dst = 0; dst < size_; ++dst) {
     counts_[static_cast<size_t>(member * size_ + dst)] = counts[static_cast<size_t>(dst)];
   }
@@ -397,22 +437,10 @@ void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& coun
 
 Status CollectiveGroup::TryExchangeScalars(int member, double value,
                                            std::vector<double>* out) {
-  if (!aborted()) {  // see PublishSend
-    scalars_[static_cast<size_t>(member)] = value;
-  }
-  MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+  scalars_[static_cast<size_t>(member)] = value;
+  MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
   *out = scalars_;
   AccountOnce(member, RingVolume(sizeof(double)));
-  return SyncPoint(member);
-}
-
-Status CollectiveGroup::TryExchangeCounts(int member,
-                                          const std::vector<int64_t>& send_counts,
-                                          std::vector<int64_t>* all_counts) {
-  MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
-  PublishCounts(member, send_counts);
-  MSMOE_RETURN_IF_ERROR(SyncPoint(member));
-  *all_counts = counts_;
   return SyncPoint(member);
 }
 

@@ -40,12 +40,21 @@
 // under an abort they return with the output buffers unmodified; callers in
 // fault-aware paths must use Try* or check status().
 //
+// Abort-release rule: a collective's barrier can open a READ PHASE, in
+// which every member reads buffers its peers published; a member's read
+// phase ends at its next sync point. An aborted member leaves a collective
+// only once no member is still in a read phase, so the caller may free or
+// reuse its buffers the moment the call returns. Readers reach their next
+// sync point in bounded time (copies and sums, an abortable wire sleep), so
+// that wait is bounded too.
+//
 // Algorithm code should not call this class directly — issue collectives
 // through the instrumented msmoe::Communicator layer (communicator.h),
 // which records per-op telemetry on top of these primitives.
 #ifndef MSMOE_SRC_COMM_COLLECTIVE_GROUP_H_
 #define MSMOE_SRC_COMM_COLLECTIVE_GROUP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
@@ -54,6 +63,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -156,14 +166,14 @@ class CollectiveGroup {
   template <typename T>
   Status TryAllGather(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
     for (int src = 0; src < size_; ++src) {
       std::memcpy(recv + static_cast<int64_t>(src) * count, SendSlot<T>(src),
                   static_cast<size_t>(count) * sizeof(T));
     }
     const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
+    EmulateWire(volume);
     return SyncPoint(member);
   }
   template <typename T>
@@ -176,18 +186,11 @@ class CollectiveGroup {
   template <typename T>
   Status TryReduceScatter(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
-    const int64_t offset = static_cast<int64_t>(member) * count;
-    for (int64_t i = 0; i < count; ++i) {
-      double sum = 0.0;
-      for (int src = 0; src < size_; ++src) {
-        sum += static_cast<double>(SendSlot<T>(src)[offset + i]);
-      }
-      recv[i] = static_cast<T>(sum);
-    }
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
+    SumSendSlots(static_cast<int64_t>(member) * count, count, recv);
     const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
+    EmulateWire(volume);
     return SyncPoint(member);
   }
   template <typename T>
@@ -196,20 +199,30 @@ class CollectiveGroup {
   }
 
   // Element-wise sum over all members; every member receives the full result.
+  // Runs as the reduce-scatter + all-gather pair the wire accounting charges:
+  // member m sums slice m of every send buffer into its own recv, then
+  // copies every other slice from the member that reduced it. Each element
+  // is the rank-ordered double sum either way, so the result is bitwise
+  // independent of the slicing. send == recv (in place) is allowed.
   template <typename T>
   Status TryAllReduce(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
-    for (int64_t i = 0; i < count; ++i) {
-      double sum = 0.0;
-      for (int src = 0; src < size_; ++src) {
-        sum += static_cast<double>(SendSlot<T>(src)[i]);
+    PublishRecv(member, recv);
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
+    const int64_t begin = SliceBegin(count, member);
+    SumSendSlots(begin, SliceBegin(count, member + 1) - begin, recv + begin);
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
+    for (int src = 0; src < size_; ++src) {
+      if (src == member) {
+        continue;
       }
-      recv[i] = static_cast<T>(sum);
+      const int64_t slice = SliceBegin(count, src);
+      std::memcpy(recv + slice, RecvSlot<T>(src) + slice,
+                  static_cast<size_t>(SliceBegin(count, src + 1) - slice) * sizeof(T));
     }
     const uint64_t volume = 2 * RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
+    EmulateWire(volume);
     return SyncPoint(member);
   }
   template <typename T>
@@ -223,7 +236,7 @@ class CollectiveGroup {
     if (member == root) {
       PublishSend(member, data);
     }
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
     if (member != root) {
       std::memcpy(data, SendSlot<T>(root), static_cast<size_t>(count) * sizeof(T));
     }
@@ -231,7 +244,7 @@ class CollectiveGroup {
         static_cast<uint64_t>(size_ - 1) *
         static_cast<uint64_t>(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
+    EmulateWire(volume);
     return SyncPoint(member);
   }
   template <typename T>
@@ -244,7 +257,7 @@ class CollectiveGroup {
   template <typename T>
   Status TryAllToAll(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
     for (int src = 0; src < size_; ++src) {
       std::memcpy(recv + static_cast<int64_t>(src) * count,
                   SendSlot<T>(src) + static_cast<int64_t>(member) * count,
@@ -252,7 +265,7 @@ class CollectiveGroup {
     }
     const uint64_t volume = A2AVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
+    EmulateWire(volume);
     return SyncPoint(member);
   }
   template <typename T>
@@ -263,20 +276,124 @@ class CollectiveGroup {
   // Variable all-to-all. send_counts[d] elements go to member d, packed
   // contiguously in destination order. On return, *recv_counts[s] holds the
   // element count received from member s and recv is packed in source order.
-  // recv must have capacity for the total received (callers can size it via
-  // ExchangeCounts below, or pass a vector to the overload in comm_util).
-  // *wire_out (optional) receives the total off-rank wire bytes of this
-  // collective (identical on every member; accounted once per the header
-  // convention).
+  // recv must have capacity for the total received. *wire_out (optional)
+  // receives the total off-rank wire bytes of this collective (identical on
+  // every member; accounted once per the header convention).
   template <typename T>
   Status TryAllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
                       T* recv, std::vector<int64_t>* recv_counts,
                       uint64_t* wire_out = nullptr) {
+    return AllToAllVImpl(member, send, send_counts, recv, /*declared=*/nullptr,
+                         recv_counts, wire_out);
+  }
+  template <typename T>
+  uint64_t AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
+                     T* recv, std::vector<int64_t>* recv_counts) {
+    uint64_t wire = 0;
+    (void)TryAllToAllV(member, send, send_counts, recv, recv_counts, &wire);
+    return wire;
+  }
+
+  // Variable all-to-all with DECLARED receive counts: the caller already
+  // knows recv_counts[s], the elements member s sends it, and sized recv to
+  // their sum. One rendezvous, no counts exchange. A member whose
+  // declaration disagrees with what a peer publishes aborts the group with
+  // kInvalidArgument before copying a byte, so every member returns that
+  // status — the op never overruns recv and never hangs.
+  template <typename T>
+  Status TryAllToAllVDeclared(int member, const T* send,
+                              const std::vector<int64_t>& send_counts, T* recv,
+                              const std::vector<int64_t>& recv_counts,
+                              uint64_t* wire_out = nullptr) {
+    MSMOE_CHECK_EQ(static_cast<int>(recv_counts.size()), size_);
+    return AllToAllVImpl(member, send, send_counts, recv, &recv_counts,
+                         /*received=*/nullptr, wire_out);
+  }
+
+  // Shares each member's scalar value into *out (size() entries).
+  // Accounted as an all-gather of one double: (size-1) * sizeof(double).
+  Status TryExchangeScalars(int member, double value, std::vector<double>* out);
+  std::vector<double> ExchangeScalars(int member, double value);
+
+ private:
+  template <typename T>
+  const T* SendSlot(int src) const {
+    return static_cast<const T*>(send_slots_[static_cast<size_t>(src)]);
+  }
+  template <typename T>
+  const T* RecvSlot(int src) const {
+    return static_cast<const T*>(recv_slots_[static_cast<size_t>(src)]);
+  }
+
+  // Publishing needs no abort check: by the abort-release rule no peer is
+  // still reading a slot once any member can return from an aborted op.
+  void PublishSend(int member, const void* ptr) {
+    send_slots_[static_cast<size_t>(member)] = ptr;
+  }
+  void PublishRecv(int member, const void* ptr) {
+    recv_slots_[static_cast<size_t>(member)] = ptr;
+  }
+  void PublishCounts(int member, const std::vector<int64_t>& counts);
+  int64_t CountAt(int src, int dst) const {
+    return counts_[static_cast<size_t>(src * size_ + dst)];
+  }
+
+  // First element of member m's slice when `count` elements are split
+  // near-evenly over the members (SliceBegin(count, size()) == count).
+  int64_t SliceBegin(int64_t count, int m) const {
+    return count * static_cast<int64_t>(m) / static_cast<int64_t>(size_);
+  }
+
+  // out[i] = T(0.0 + double(slot_0[offset + i]) + ... + double(slot_n-1[...]))
+  // for i in [0, count): the per-element rank-ordered double sum over every
+  // member's published send buffer, run in blocks the compiler vectorizes.
+  // `out` may alias this member's own send slice (all of a block's reads
+  // happen before its writes).
+  template <typename T>
+  void SumSendSlots(int64_t offset, int64_t count, T* out) const {
+    constexpr int64_t kBlock = 256;
+    double acc[kBlock];
+    for (int64_t base = 0; base < count; base += kBlock) {
+      const int64_t len = std::min(kBlock, count - base);
+      std::fill(acc, acc + len, 0.0);
+      for (int src = 0; src < size_; ++src) {
+        const T* in = SendSlot<T>(src) + offset + base;
+        for (int64_t i = 0; i < len; ++i) {
+          acc[i] += static_cast<double>(in[i]);
+        }
+      }
+      for (int64_t i = 0; i < len; ++i) {
+        out[base + i] = static_cast<T>(acc[i]);
+      }
+    }
+  }
+
+  // Both variable all-to-all forms: with `declared`, the receive counts are
+  // checked against the published matrix before any copy; otherwise they
+  // are read from it into *received.
+  template <typename T>
+  Status AllToAllVImpl(int member, const T* send, const std::vector<int64_t>& send_counts,
+                       T* recv, const std::vector<int64_t>* declared,
+                       std::vector<int64_t>* received, uint64_t* wire_out) {
     MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
     PublishSend(member, send);
     PublishCounts(member, send_counts);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
-    recv_counts->assign(static_cast<size_t>(size_), 0);
+    MSMOE_RETURN_IF_ERROR(SyncPoint(member, /*opens_read=*/true));
+    if (declared != nullptr) {
+      for (int src = 0; src < size_; ++src) {
+        if (CountAt(src, member) != (*declared)[static_cast<size_t>(src)]) {
+          Abort(InvalidArgument(
+              "all-to-all-v: member " + std::to_string(member) + " declared " +
+              std::to_string((*declared)[static_cast<size_t>(src)]) +
+              " elements from member " + std::to_string(src) + ", which sends " +
+              std::to_string(CountAt(src, member))));
+          return SyncPoint(member);
+        }
+      }
+    }
+    if (received != nullptr) {
+      received->assign(static_cast<size_t>(size_), 0);
+    }
     int64_t recv_offset = 0;
     for (int src = 0; src < size_; ++src) {
       // Offset of the block addressed to `member` inside src's send buffer.
@@ -287,7 +404,9 @@ class CollectiveGroup {
       const int64_t n = CountAt(src, member);
       std::memcpy(recv + recv_offset, SendSlot<T>(src) + src_offset,
                   static_cast<size_t>(n) * sizeof(T));
-      (*recv_counts)[static_cast<size_t>(src)] = n;
+      if (received != nullptr) {
+        (*received)[static_cast<size_t>(src)] = n;
+      }
       recv_offset += n;
     }
     // The published counts matrix is stable between the barriers, so every
@@ -304,48 +423,8 @@ class CollectiveGroup {
     if (wire_out != nullptr) {
       *wire_out = total;
     }
-    MSMOE_RETURN_IF_ERROR(EmulateWire(total));
+    EmulateWire(total);
     return SyncPoint(member);
-  }
-  template <typename T>
-  uint64_t AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
-                     T* recv, std::vector<int64_t>* recv_counts) {
-    uint64_t wire = 0;
-    (void)TryAllToAllV(member, send, send_counts, recv, recv_counts, &wire);
-    return wire;
-  }
-
-  // Shares each member's scalar value into *out (size() entries).
-  // Accounted as an all-gather of one double: (size-1) * sizeof(double).
-  Status TryExchangeScalars(int member, double value, std::vector<double>* out);
-  std::vector<double> ExchangeScalars(int member, double value);
-
-  // Shares each member's per-destination counts; *all_counts becomes the
-  // full size() x size() matrix (row src, column dst). This is the
-  // metadata rendezvous of AllToAllV exposed on its own, for the chunked
-  // async driver — like the monolithic op's counts matrix it rides the
-  // barrier's shared slots and accounts no wire bytes.
-  Status TryExchangeCounts(int member, const std::vector<int64_t>& send_counts,
-                           std::vector<int64_t>* all_counts);
-
- private:
-  template <typename T>
-  const T* SendSlot(int src) const {
-    return static_cast<const T*>(send_slots_[static_cast<size_t>(src)]);
-  }
-
-  // The Publish* writes are skipped on an aborted group: a member the abort
-  // released early from an earlier op's barrier must not overwrite slots a
-  // peer may still be reading for that op. The SyncPoint that follows
-  // reports the abort.
-  void PublishSend(int member, const void* ptr) {
-    if (!aborted()) {
-      send_slots_[static_cast<size_t>(member)] = ptr;
-    }
-  }
-  void PublishCounts(int member, const std::vector<int64_t>& counts);
-  int64_t CountAt(int src, int dst) const {
-    return counts_[static_cast<size_t>(src * size_ + dst)];
   }
 
   // The cancellable rendezvous every collective phase runs through: returns
@@ -353,13 +432,19 @@ class CollectiveGroup {
   // cancelled, or raises kDeadlineExceeded for everyone when this waiter's
   // deadline expires first. `member` (when >= 0) marks this waiter in the
   // arrival bitmap, so a timeout can attribute the fault to the members
-  // that never showed up.
-  Status SyncPoint(int member = -1);
+  // that never showed up. Arriving ends the member's read phase; a barrier
+  // with `opens_read` that closes starts one for every member (the
+  // abort-release rule in the header comment). Collectives pass `member`
+  // at every sync point that follows a read phase.
+  Status SyncPoint(int member = -1, bool opens_read = false);
+  // Returns the sticky abort status once no member is in a read phase.
+  Status LeaveAborted(std::unique_lock<std::mutex>& lock);
 
   // Blocks for WireTimeUs(bytes) of idle time when the wire model is on
   // (every member sleeps concurrently, so one collective costs one wire
-  // time). Abortable: a group Abort wakes sleepers with the sticky status.
-  Status EmulateWire(uint64_t bytes);
+  // time). An abort cuts the sleep short; the SyncPoint that follows
+  // reports it.
+  void EmulateWire(uint64_t bytes);
 
   // Ring all-gather / reduce-scatter volume per the standard (g-1)/g * total.
   uint64_t RingVolume(int64_t bytes_per_member) const {
@@ -380,6 +465,7 @@ class CollectiveGroup {
 
   const int size_;
   std::vector<const void*> send_slots_;
+  std::vector<const void*> recv_slots_;
   std::vector<int64_t> counts_;
   std::vector<double> scalars_;
   std::atomic<uint64_t> wire_bytes_{0};
@@ -396,6 +482,10 @@ class CollectiveGroup {
   // Which members have arrived at the OPEN sync point (cleared when the
   // barrier closes); consulted on timeout to name the missing ranks.
   std::vector<char> arrived_members_;
+  // Members in a read phase (passed an opens_read barrier, not yet at their
+  // next sync point); an aborted member leaves only once readers_ == 0.
+  std::vector<char> reading_;
+  int readers_ = 0;
   int culprit_rank_ = -1;  // first fault attribution; -1 = none
 
   // Emulated wire clock (off when bytes_per_us <= 0).

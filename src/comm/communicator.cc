@@ -303,7 +303,9 @@ uint64_t HierarchicalCommunicator::ReduceScatterF32(int member, const float* sen
 
 uint64_t HierarchicalCommunicator::AllReduceF32(int member, const float* send,
                                                 float* recv, int64_t count) {
-  std::memcpy(recv, send, static_cast<size_t>(count) * sizeof(float));
+  if (recv != send) {
+    std::memcpy(recv, send, static_cast<size_t>(count) * sizeof(float));
+  }
   hier_.AllReduce(member, recv, count);
   // Four-step analytic volume (Fig 5a): per node an intra RS + AG over
   // chunk floats, per local index an inter all-reduce of one chunk.

@@ -344,9 +344,10 @@ class Communicator {
 
   // --- Nonblocking chunked collectives (§4.2) ------------------------------
   //
-  // Each Start* splits the op into num_chunks contiguous chunks and hands
-  // it to this rank's persistent comm-proxy thread, which drives the chunks
-  // over a DEDICATED async-channel group; the caller overlaps compute and
+  // StartAllGather / StartReduceScatter split the op into num_chunks
+  // contiguous chunks and hand it to this rank's persistent comm-proxy
+  // thread, which drives the chunks over a DEDICATED async-channel group
+  // (StartAllToAllV is one chunk, below); the caller overlaps compute and
   // consumes per-chunk readiness through the returned CommHandle (see
   // async_comm.h for the ordering and fault contract). All ranks must issue
   // the same Start* sequence; handles must not outlive this Communicator.
@@ -376,22 +377,21 @@ class Communicator {
                                                send, recv, count, num_chunks, quantum);
   }
 
-  // *recv is resized on the comm thread once the counts exchange fixed the
-  // total; do not touch it until the first WaitChunk/WaitAll returns.
+  // One rendezvous with DECLARED counts: send_counts[d] / recv_counts[s]
+  // are the elements this rank sends member d / receives from member s, and
+  // recv holds sum(recv_counts) elements (see async_comm.h). The handle has
+  // one chunk; pipelines issue one handle per chunk. A declaration that
+  // disagrees with what arrives fails the op on every rank.
   template <typename T>
   std::unique_ptr<CommHandle> StartAllToAllV(int member, const T* send,
                                              const std::vector<int64_t>& send_counts,
-                                             std::vector<T>* recv, int num_chunks) {
+                                             T* recv, const std::vector<int64_t>& recv_counts) {
     if (retired()) {
       return AsyncCommDriver::MakeFailedHandle(stale_status());
     }
-    auto resize = [recv](int64_t elems) -> void* {
-      recv->resize(static_cast<size_t>(elems));
-      return recv->data();
-    };
     return AsyncCommDriver::StartAllToAllV(
-        AsyncParams(member, CommElemTypeName<T>(), sizeof(T)), send, send_counts,
-        resize, num_chunks);
+        AsyncParams(member, CommElemTypeName<T>(), sizeof(T)), send, send_counts, recv,
+        recv_counts);
   }
 
  protected:

@@ -285,19 +285,21 @@ ExecResult ExecGraph::Run(const std::vector<int>& order, const std::vector<int>&
     result.makespan_us = std::max(result.makespan_us, timing.end_us);
   }
 
-  // Observability feed: per-stream busy split + the calling thread's
+  // Observability feed: compute/comm busy split + the calling thread's
   // per-step sink (the caller is the rank thread holding the ScopedStep, so
   // the thread-local hand-off needs no synchronization). Runs after every
-  // stream drained — the timings are final.
+  // stream drained — the timings are final. Ops split by kind, not stream,
+  // as in MeasuredTimeline: a comm wait on stream 0 is the compute stream
+  // idling, and must show up as bubble rather than compute.
   {
     double compute_busy = 0.0;
     double comm_busy = 0.0;
     for (size_t i = 0; i < result.timings.size(); ++i) {
       const double busy = result.timings[i].end_us - result.timings[i].start_us;
-      if (streams[i] == 0) {
-        compute_busy += busy;
-      } else {
+      if (ops_[i].is_comm) {
         comm_busy += busy;
+      } else {
+        compute_busy += busy;
       }
     }
     MetricsRegistry& registry = MetricsRegistry::Global();
@@ -307,9 +309,9 @@ ExecResult ExecGraph::Run(const std::vector<int>& order, const std::vector<int>&
       static const MetricId makespan_id =
           registry.Counter("exec.makespan_us", "Summed graph makespan (us)");
       static const MetricId compute_id =
-          registry.Counter("exec.compute_busy_us", "Stream-0 op time (us)");
+          registry.Counter("exec.compute_busy_us", "Compute op time (us)");
       static const MetricId comm_id =
-          registry.Counter("exec.comm_busy_us", "Comm-stream op time (us)");
+          registry.Counter("exec.comm_busy_us", "Comm op time (us)");
       registry.Add(graphs_id, 1.0);
       registry.Add(makespan_id, result.makespan_us);
       registry.Add(compute_id, compute_busy);

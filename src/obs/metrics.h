@@ -126,15 +126,16 @@ class MetricsRegistry {
 //
 // While a ScopedStep is active on a rank thread, the runtime task-graph
 // executor (core/exec_graph) reports each executed graph here, so the
-// profiler can attribute per-step pipeline bubble (stream-0 idle inside the
-// graph span) without the trainer threading timing structs through every
-// call. Plain accumulation — only the owning thread touches its sink.
+// profiler can attribute per-step pipeline bubble (compute idle inside the
+// graph span, including comm waits run on stream 0) without the trainer
+// threading timing structs through every call. Plain accumulation — only
+// the owning thread touches its sink.
 struct ExecStepStats {
   int graphs = 0;
   double makespan_us = 0.0;       // summed over graphs executed this step
-  double compute_busy_us = 0.0;   // stream-0 op time
-  double comm_busy_us = 0.0;      // comm-stream op time
-  double bubble_us = 0.0;         // makespan - stream-0 busy, per graph
+  double compute_busy_us = 0.0;   // compute op time
+  double comm_busy_us = 0.0;      // comm op time, whatever the stream
+  double bubble_us = 0.0;         // makespan - compute busy, per graph
 };
 
 // The calling thread's active sink, or nullptr when no step is being

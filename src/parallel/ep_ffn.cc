@@ -41,21 +41,33 @@ int64_t* WsInts(const char* tag, int64_t count) {
       tag, std::max<int64_t>(count, 1) * static_cast<int64_t>(sizeof(int64_t))));
 }
 
-// Per-rank-thread receive staging for the chunked wire. StartAllToAllV
-// resizes the inner vectors on the comm thread once the counts exchange
-// fixes the totals; rank threads are persistent, so capacities carry over
-// across steps and the steady state performs no fresh heap allocation.
-// The outer vectors are only resized before any handle holds an inner
-// pointer (a grow would otherwise move the inner vectors).
-struct PipelineScratch {
-  std::vector<std::vector<float>> recv_f32;
-  std::vector<std::vector<uint8_t>> recv_u8;
-  std::vector<std::vector<float>> ret_recv;
-};
+// Wire row width of the dispatch direction in its wire type's elements: h
+// floats, or (FP8) h E4M3 codes followed by the token's float scale.
+int64_t DispatchRowWidth(int64_t h, bool fp8) {
+  return fp8 ? h + static_cast<int64_t>(sizeof(float)) : h;
+}
 
-PipelineScratch& TlsScratch() {
-  thread_local PipelineScratch scratch;
-  return scratch;
+// Chunk c's per-peer element counts of one wire direction: `rows` holds
+// the [C*n] (chunk, peer) row counts, each row `width` elements. Both ends
+// of every chunk op declare their counts from the metadata exchange.
+void ChunkCounts(const std::vector<int64_t>& rows, int c, int n, int64_t width,
+                 std::vector<int64_t>* counts) {
+  counts->resize(static_cast<size_t>(n));
+  for (int peer = 0; peer < n; ++peer) {
+    (*counts)[static_cast<size_t>(peer)] = rows[static_cast<size_t>(c * n + peer)] * width;
+  }
+}
+
+// Receive staging of one dispatch round in wire order: chunk c's rows land
+// at wire row recv_chunk_base[c]. Workspace-backed, so the rank thread
+// reuses the same buffer every step.
+void* DispatchRecvStaging(const EpFfnCache& cache, int64_t h, bool fp8) {
+  const int64_t rows = std::max<int64_t>(cache.recv_chunk_base.back(), 1);
+  Workspace& ws = ThreadWorkspace();
+  if (fp8) {
+    return ws.Bytes("ep.a2a.recv8", rows * DispatchRowWidth(h, true));
+  }
+  return ws.Floats("ep.a2a.recv", rows * h);
 }
 
 // One DispatchEvent per forward dispatch round: the per-expert load profile
@@ -109,50 +121,50 @@ ExpertBlock RunExperts(const Tensor& ffn_in, const std::vector<int64_t>& offsets
 // handle per chunk as soon as its rows are staged — packing (and, in FP8
 // mode, quantizing) chunk i+1 overlaps the wire of chunk i. FP8 rows carry
 // h codes plus their per-token scale in one payload (quantize-on-pack: no
-// separate quantization pre-pass or scale exchange).
-std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(
-    const ShardContext& ctx, const EpFfnCache& cache, const Tensor& x_local,
-    int64_t h, PipelineScratch* scratch) {
+// separate quantization pre-pass or scale exchange). Chunk c lands in
+// `recv` (DispatchRecvStaging) at its wire rows.
+std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(const ShardContext& ctx,
+                                                             const EpFfnCache& cache,
+                                                             const Tensor& x_local,
+                                                             int64_t h, void* recv) {
   const int n = ctx.size();
   const int C = cache.pipeline_chunks;
   const int64_t total_send = static_cast<int64_t>(cache.send_token.size());
   const bool fp8 = cache.fp8_wire;
   const QuantConfig quant = DispatchQuant();
-  const int64_t row_bytes = h + static_cast<int64_t>(sizeof(float));
+  const int64_t width = DispatchRowWidth(h, fp8);
   Workspace& ws = ThreadWorkspace();
-  scratch->recv_f32.resize(static_cast<size_t>(C));
-  scratch->recv_u8.resize(static_cast<size_t>(C));
   float* stage_f = nullptr;
   uint8_t* stage_q = nullptr;
   if (fp8) {
-    stage_q = ws.Bytes("ep.a2a.dispatch8", std::max<int64_t>(total_send * row_bytes, 1));
+    stage_q = ws.Bytes("ep.a2a.dispatch8", std::max<int64_t>(total_send * width, 1));
   } else {
     stage_f = ws.Floats("ep.a2a.dispatch", std::max<int64_t>(total_send * h, 1));
   }
   std::vector<std::unique_ptr<CommHandle>> handles(static_cast<size_t>(C));
-  std::vector<int64_t> counts(static_cast<size_t>(n));
+  std::vector<int64_t> send_counts;
+  std::vector<int64_t> recv_counts;
   for (int c = 0; c < C; ++c) {
     const int64_t base = cache.send_chunk_base[static_cast<size_t>(c)];
     const int64_t rows_c = cache.send_chunk_base[static_cast<size_t>(c) + 1] - base;
+    const int64_t recv_row = cache.recv_chunk_base[static_cast<size_t>(c)];
+    ChunkCounts(cache.send_chunk_counts, c, n, width, &send_counts);
+    ChunkCounts(cache.recv_chunk_counts, c, n, width, &recv_counts);
     if (fp8) {
       ParallelFor(rows_c, 16, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const int64_t p = base + r;
           const float* row =
               x_local.data() + cache.send_token[static_cast<size_t>(p)] * h;
-          uint8_t* out = stage_q + p * row_bytes;
+          uint8_t* out = stage_q + p * width;
           float scale = 0.0f;
           QuantizeInto(row, 1, h, quant, out, &scale);
           std::memcpy(out + h, &scale, sizeof(float));
         }
       });
-      for (int d = 0; d < n; ++d) {
-        counts[static_cast<size_t>(d)] =
-            cache.send_chunk_counts[static_cast<size_t>(c * n + d)] * row_bytes;
-      }
       handles[static_cast<size_t>(c)] = ctx.comm->StartAllToAllV<uint8_t>(
-          ctx.rank, stage_q + base * row_bytes, counts,
-          &scratch->recv_u8[static_cast<size_t>(c)], /*num_chunks=*/1);
+          ctx.rank, stage_q + base * width, send_counts,
+          static_cast<uint8_t*>(recv) + recv_row * width, recv_counts);
     } else {
       ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
@@ -162,31 +174,28 @@ std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(
                       static_cast<size_t>(h) * sizeof(float));
         }
       });
-      for (int d = 0; d < n; ++d) {
-        counts[static_cast<size_t>(d)] =
-            cache.send_chunk_counts[static_cast<size_t>(c * n + d)] * h;
-      }
       handles[static_cast<size_t>(c)] = ctx.comm->StartAllToAllV<float>(
-          ctx.rank, stage_f + base * h, counts,
-          &scratch->recv_f32[static_cast<size_t>(c)], /*num_chunks=*/1);
+          ctx.rank, stage_f + base * h, send_counts, static_cast<float*>(recv) + recv_row * h,
+          recv_counts);
     }
   }
   return handles;
 }
 
-// Delivers one landed dispatch chunk's rows into `dst` at their grouped
-// positions (dequantizing on the fly in FP8 mode).
-Status ScatterChunkRows(const EpFfnCache& cache, PipelineScratch* scratch, int c,
-                        int64_t h, bool fp8, Tensor* dst) {
+// Delivers one landed dispatch chunk's rows from the wire-order staging
+// `recv` into `dst` at their grouped positions (dequantizing on the fly in
+// FP8 mode).
+Status ScatterChunkRows(const EpFfnCache& cache, const void* recv, int c, int64_t h,
+                        bool fp8, Tensor* dst) {
   const QuantConfig quant = DispatchQuant();
-  const int64_t row_bytes = h + static_cast<int64_t>(sizeof(float));
+  const int64_t width = DispatchRowWidth(h, fp8);
   const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
   const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
   if (fp8) {
-    const uint8_t* buf = scratch->recv_u8[static_cast<size_t>(c)].data();
+    const uint8_t* buf = static_cast<const uint8_t*>(recv) + base * width;
     ParallelFor(rows_c, 16, [&](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
-        const uint8_t* src = buf + r * row_bytes;
+        const uint8_t* src = buf + r * width;
         float scale = 0.0f;
         std::memcpy(&scale, src + h, sizeof(float));
         DequantizeInto(src, &scale, 1, h, quant,
@@ -195,7 +204,7 @@ Status ScatterChunkRows(const EpFfnCache& cache, PipelineScratch* scratch, int c
       }
     });
   } else {
-    const float* buf = scratch->recv_f32[static_cast<size_t>(c)].data();
+    const float* buf = static_cast<const float*>(recv) + base * h;
     ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
         std::memcpy(dst->data() +
@@ -207,19 +216,41 @@ Status ScatterChunkRows(const EpFfnCache& cache, PipelineScratch* scratch, int c
   return Status::Ok();
 }
 
-// Records the receive side of a chunked dispatch on `graph`: a chained
-// stream-1 wait per chunk plus a chained stream-0 scatter delivering that
-// chunk's rows into `dst` at their grouped positions (dequantizing on the
-// fly in FP8 mode). Returns the scatter op ids so callers can hang
-// per-expert work off the chunk that completes an expert's rows; the chain
-// makes scatter[c] transitively cover every earlier chunk.
-std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
-                                 const std::vector<std::unique_ptr<CommHandle>>& handles,
-                                 PipelineScratch* scratch, int64_t h, bool fp8,
-                                 Tensor* dst) {
+// Packs chunk c's grouped rows of `rows` (expert outputs, or input grads)
+// back into wire order in `stage` and starts their return to the source
+// ranks; they land in `recv` at the chunk's send rows.
+std::unique_ptr<CommHandle> StartReturnChunk(const ShardContext& ctx, const EpFfnCache& cache,
+                                             const Tensor& rows, float* stage, float* recv,
+                                             int c, int64_t h) {
+  const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
+  const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
+  ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      std::memcpy(stage + (base + r) * h,
+                  rows.data() + cache.chunk_to_sorted[static_cast<size_t>(base + r)] * h,
+                  static_cast<size_t>(h) * sizeof(float));
+    }
+  });
+  std::vector<int64_t> send_counts;
+  std::vector<int64_t> recv_counts;
+  ChunkCounts(cache.recv_chunk_counts, c, ctx.size(), h, &send_counts);
+  ChunkCounts(cache.send_chunk_counts, c, ctx.size(), h, &recv_counts);
+  return ctx.comm->StartAllToAllV<float>(
+      ctx.rank, stage + base * h, send_counts,
+      recv + cache.send_chunk_base[static_cast<size_t>(c)] * h, recv_counts);
+}
+
+// Records the receive side of a chunked dispatch on `graph`: a chained wait
+// per chunk plus a chained scatter delivering that chunk's rows into `dst`
+// at their grouped positions (dequantizing on the fly in FP8 mode). The
+// waits are comm ops on stream 0 — the compute stream waits on the chunk's
+// event, as cudaStreamWaitEvent would — so the graph runs with
+// Execute(1) on the rank thread alone.
+void AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
+                     const std::vector<std::unique_ptr<CommHandle>>& handles,
+                     const void* recv, int64_t h, bool fp8, Tensor* dst) {
   const int C = cache.pipeline_chunks;
   const EpFfnCache* cache_p = &cache;
-  std::vector<int> scatter_ids(static_cast<size_t>(C), -1);
   int prev_wait = -1;
   int prev_scatter = -1;
   for (int c = 0; c < C; ++c) {
@@ -229,23 +260,20 @@ std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
     }
     CommHandle* handle = handles[static_cast<size_t>(c)].get();
     const int wait =
-        graph->AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/1,
+        graph->AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/0,
                        [handle] { return handle->WaitAll(); }, wait_deps);
     std::vector<int> deps{wait};
     if (prev_scatter >= 0) {
       deps.push_back(prev_scatter);
     }
-    const int scatter = graph->AddCompute(
+    prev_scatter = graph->AddCompute(
         "ep_scatter[" + std::to_string(c) + "]",
-        [cache_p, scratch, dst, c, h, fp8] {
-          return ScatterChunkRows(*cache_p, scratch, c, h, fp8, dst);
+        [cache_p, recv, dst, c, h, fp8] {
+          return ScatterChunkRows(*cache_p, recv, c, h, fp8, dst);
         },
         deps, "scatter");
-    scatter_ids[static_cast<size_t>(c)] = scatter;
     prev_wait = wait;
-    prev_scatter = scatter;
   }
-  return scatter_ids;
 }
 
 // The fused kAllToAll forward (§4.2, Fig 7). Bitwise identical for every
@@ -455,14 +483,15 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     std::sort(gather + chunk_begin, gather + chunk_end);
   }
 
-  // --- Dispatch wire, expert compute, and combine wire on ONE exec graph.
-  // Stream 0 (the rank thread) runs the declared order
-  //   scatter[0], ffn_chunk[0], combine_pack[0], scatter[1], ...
-  // while stream 1 waits chunks off the wire — so while chunk c is in the
-  // expert GEMMs, chunk c+1's dispatch and chunk c-1's combine are both in
-  // flight (the §4.2 pipeline). Packing (and FP8 quantizing) of dispatch
-  // chunk i+1 already overlapped chunk i's wire inside
-  // StartDispatchChunks. Combine Starts are issued from the CHAINED
+  // --- Dispatch wire, expert compute, and combine wire on ONE exec graph,
+  // run on the rank thread alone in the declared order
+  //   wait[0], scatter[0], ffn_chunk[0], combine_pack[0], wait[1], ...
+  // Each chunk wait is a comm op on stream 0 — the compute stream waiting
+  // on the chunk's event — while the comm proxy keeps the wire moving: while
+  // chunk c is in the expert GEMMs, chunk c+1's dispatch and chunk c-1's
+  // combine are both in flight (the §4.2 pipeline). Packing (and FP8
+  // quantizing) of dispatch chunk i+1 already overlapped chunk i's wire
+  // inside StartDispatchChunks. Combine Starts are issued from the CHAINED
   // combine_pack ops — all on the calling rank thread, in declared order,
   // identical on every rank — so the per-rank Start FIFO contract of
   // async_comm.h holds exactly as in eager code. Within a chunk the send
@@ -474,24 +503,20 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   cache->fc2_in = Tensor::Uninit({total_recv, f});
   cache->fc2_out = Tensor::Uninit({total_recv, h});
   cache->returned_rows = Tensor::Uninit({total_send, h});
-  PipelineScratch& scratch = TlsScratch();
-  scratch.ret_recv.resize(static_cast<size_t>(C));
   Workspace& ws = ThreadWorkspace();
   float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
   std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
+  const bool fp8 = cache->fp8_wire;
+  void* recv = DispatchRecvStaging(*cache, h, fp8);
   std::vector<std::unique_ptr<CommHandle>> handles =
-      StartDispatchChunks(ctx, *cache, x_local, h, &scratch);
+      StartDispatchChunks(ctx, *cache, x_local, h, recv);
   {
     ExecGraph graph;
     EpFfnCache* cache_p = cache;
-    PipelineScratch* scratch_p = &scratch;
     std::vector<std::unique_ptr<CommHandle>>* ret_handles_p = &ret_handles;
-    Communicator* comm = ctx.comm;
-    const int rank = ctx.rank;
-    const bool fp8 = cache->fp8_wire;
     std::vector<int> pack_ids(static_cast<size_t>(C), -1);
     int prev_dwait = -1;
-    int prev_s0 = -1;  // chains every stream-0 op in declared order
+    int prev_s0 = -1;  // chains every compute op in declared order
     for (int c = 0; c < C; ++c) {
       std::vector<int> wait_deps;
       if (prev_dwait >= 0) {
@@ -499,7 +524,7 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       CommHandle* handle = handles[static_cast<size_t>(c)].get();
       const int dwait =
-          graph.AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/1,
+          graph.AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/0,
                         [handle] { return handle->WaitAll(); }, wait_deps);
       std::vector<int> scatter_deps{dwait};
       if (prev_s0 >= 0) {
@@ -507,8 +532,8 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       const int scatter = graph.AddCompute(
           "ep_scatter[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, c, h, fp8] {
-            return ScatterChunkRows(*cache_p, scratch_p, c, h, fp8, &cache_p->ffn_in);
+          [cache_p, recv, c, h, fp8] {
+            return ScatterChunkRows(*cache_p, recv, c, h, fp8, &cache_p->ffn_in);
           },
           scatter_deps, "scatter");
       const int ffn = graph.AddCompute(
@@ -575,31 +600,13 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
             return Status::Ok();
           },
           {scatter}, "gemm");
+      // The expert outputs return straight into returned_rows.
       const int pack = graph.AddCompute(
           "ep_combine_pack[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, ret_handles_p, comm, rank, ret_stage, c, h] {
-            const int n_ranks = static_cast<int>(cache_p->recv_counts.size());
-            const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                std::memcpy(
-                    ret_stage + (base + r) * h,
-                    cache_p->fc2_out.data() +
-                        cache_p->chunk_to_sorted[static_cast<size_t>(base + r)] * h,
-                    static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            std::vector<int64_t> counts(static_cast<size_t>(n_ranks));
-            for (int src = 0; src < n_ranks; ++src) {
-              counts[static_cast<size_t>(src)] =
-                  cache_p->recv_chunk_counts[static_cast<size_t>(c * n_ranks + src)] *
-                  h;
-            }
-            (*ret_handles_p)[static_cast<size_t>(c)] = comm->StartAllToAllV<float>(
-                rank, ret_stage + base * h, counts,
-                &scratch_p->ret_recv[static_cast<size_t>(c)], /*num_chunks=*/1);
+          [cache_p, ret_handles_p, ctx, ret_stage, c, h] {
+            (*ret_handles_p)[static_cast<size_t>(c)] =
+                StartReturnChunk(ctx, *cache_p, cache_p->fc2_out, ret_stage,
+                                 cache_p->returned_rows.data(), c, h);
             return Status::Ok();
           },
           {ffn}, "pack");
@@ -617,7 +624,7 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
         cwait_deps.push_back(prev_cwait);
       }
       const int cwait = graph.AddComm(
-          "ep_combine_wait[" + std::to_string(c) + "]", /*stream=*/1,
+          "ep_combine_wait[" + std::to_string(c) + "]", /*stream=*/0,
           [ret_handles_p, c] {
             return (*ret_handles_p)[static_cast<size_t>(c)]->WaitAll();
           },
@@ -628,16 +635,11 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       const int acc = graph.AddCompute(
           "ep_combine[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, routing_p, y, c, h] {
+          [cache_p, routing_p, y, c, h] {
             const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
             const int64_t rows_c =
                 cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const float* buf = scratch_p->ret_recv[static_cast<size_t>(c)].data();
-            std::memcpy(cache_p->returned_rows.data() + base * h, buf,
-                        static_cast<size_t>(rows_c * h) * sizeof(float));
+            const float* buf = cache_p->returned_rows.data() + base * h;
             for (int64_t j = 0; j < rows_c; ++j) {
               const int64_t p = base + j;
               const int64_t t = cache_p->send_token[static_cast<size_t>(p)];
@@ -655,7 +657,7 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       prev_cwait = cwait;
       prev_acc = acc;
     }
-    const ExecResult result = graph.Execute(/*num_streams=*/2);
+    const ExecResult result = graph.Execute(/*num_streams=*/1);
     handles.clear();
     ret_handles.clear();
     if (!result.status.ok()) {
@@ -704,16 +706,15 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
   const int64_t total_recv = cache.recv_chunk_base[static_cast<size_t>(C)];
 
   Workspace& ws = ThreadWorkspace();
-  PipelineScratch& scratch = TlsScratch();
-  scratch.recv_f32.resize(static_cast<size_t>(C));
-  scratch.ret_recv.resize(static_cast<size_t>(C));
 
   // --- Combine backward at the source: weight the incoming grads per
   // copy, read off the combine-weight grads, ship chunk by chunk. ---
   float* ship = ws.Floats("ep.a2a.dispatch", std::max<int64_t>(total_send * h, 1));
+  float* recv = static_cast<float*>(DispatchRecvStaging(cache, h, /*fp8=*/false));
   std::vector<std::unique_ptr<CommHandle>> handles(static_cast<size_t>(C));
   {
-    std::vector<int64_t> counts(static_cast<size_t>(n));
+    std::vector<int64_t> send_counts;
+    std::vector<int64_t> recv_counts;
     for (int c = 0; c < C; ++c) {
       const int64_t base = cache.send_chunk_base[static_cast<size_t>(c)];
       const int64_t rows_c = cache.send_chunk_base[static_cast<size_t>(c) + 1] - base;
@@ -734,20 +735,18 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
           grads.dcombine_local.At(t, slot) = dot;
         }
       });
-      for (int d = 0; d < n; ++d) {
-        counts[static_cast<size_t>(d)] =
-            cache.send_chunk_counts[static_cast<size_t>(c * n + d)] * h;
-      }
+      ChunkCounts(cache.send_chunk_counts, c, n, h, &send_counts);
+      ChunkCounts(cache.recv_chunk_counts, c, n, h, &recv_counts);
       handles[static_cast<size_t>(c)] = ctx.comm->StartAllToAllV<float>(
-          ctx.rank, ship + base * h, counts,
-          &scratch.recv_f32[static_cast<size_t>(c)], /*num_chunks=*/1);
+          ctx.rank, ship + base * h, send_counts,
+          recv + cache.recv_chunk_base[static_cast<size_t>(c)] * h, recv_counts);
     }
   }
   Tensor dfc2_out = Tensor::Uninit({total_recv, h});
   {
     ExecGraph graph;
-    AddScatterChain(&graph, cache, handles, &scratch, h, /*fp8=*/false, &dfc2_out);
-    const ExecResult result = graph.Execute(/*num_streams=*/2);
+    AddScatterChain(&graph, cache, handles, recv, h, /*fp8=*/false, &dfc2_out);
+    const ExecResult result = graph.Execute(/*num_streams=*/1);
     handles.clear();
     if (!result.status.ok()) {
       return zero_grads();
@@ -771,35 +770,18 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
   Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
 
   // --- Return the input grads chunk by chunk, accumulating into dx_local
-  // as chunks land (per token the order is again (owner asc, slot asc)). ---
+  // as chunks land (per token the order is again (owner asc, slot asc)).
+  // Chunk c's rows land at its send rows. ---
   float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
+  float* ret_recv = ws.Floats("ep.a2a.ret", std::max<int64_t>(total_send * h, 1));
   std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
-  {
-    std::vector<int64_t> counts(static_cast<size_t>(n));
-    for (int c = 0; c < C; ++c) {
-      const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
-      const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-      ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::memcpy(ret_stage + (base + r) * h,
-                      dffn_in.data() +
-                          cache.chunk_to_sorted[static_cast<size_t>(base + r)] * h,
-                      static_cast<size_t>(h) * sizeof(float));
-        }
-      });
-      for (int src = 0; src < n; ++src) {
-        counts[static_cast<size_t>(src)] =
-            cache.recv_chunk_counts[static_cast<size_t>(c * n + src)] * h;
-      }
-      ret_handles[static_cast<size_t>(c)] = ctx.comm->StartAllToAllV<float>(
-          ctx.rank, ret_stage + base * h, counts,
-          &scratch.ret_recv[static_cast<size_t>(c)], /*num_chunks=*/1);
-    }
+  for (int c = 0; c < C; ++c) {
+    ret_handles[static_cast<size_t>(c)] =
+        StartReturnChunk(ctx, cache, dffn_in, ret_stage, ret_recv, c, h);
   }
   {
     ExecGraph graph;
     const EpFfnCache* cache_p = &cache;
-    PipelineScratch* scratch_p = &scratch;
     float* dx = grads.dx_local.data();
     int prev_wait = -1;
     int prev_acc = -1;
@@ -810,7 +792,7 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       CommHandle* handle = ret_handles[static_cast<size_t>(c)].get();
       const int wait =
-          graph.AddComm("ep_dx_wait[" + std::to_string(c) + "]", /*stream=*/1,
+          graph.AddComm("ep_dx_wait[" + std::to_string(c) + "]", /*stream=*/0,
                         [handle] { return handle->WaitAll(); }, wait_deps);
       std::vector<int> deps{wait};
       if (prev_acc >= 0) {
@@ -818,14 +800,11 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
       }
       const int acc = graph.AddCompute(
           "ep_dx_acc[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, dx, c, h] {
+          [cache_p, ret_recv, dx, c, h] {
             const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
             const int64_t rows_c =
                 cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const float* buf = scratch_p->ret_recv[static_cast<size_t>(c)].data();
+            const float* buf = ret_recv + base * h;
             for (int64_t j = 0; j < rows_c; ++j) {
               const int64_t t = cache_p->send_token[static_cast<size_t>(base + j)];
               const float* row = buf + j * h;
@@ -840,7 +819,7 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
       prev_wait = wait;
       prev_acc = acc;
     }
-    const ExecResult result = graph.Execute(/*num_streams=*/2);
+    const ExecResult result = graph.Execute(/*num_streams=*/1);
     ret_handles.clear();
     if (!result.status.ok()) {
       return zero_grads();
@@ -1038,13 +1017,13 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
     if (ok && cache->ffn_in.empty()) {
       // Replay the chunked dispatch (re-quantizing in FP8 mode — per-token
       // scales make the codes bitwise the forward's).
-      PipelineScratch& scratch = TlsScratch();
+      void* recv = DispatchRecvStaging(*cache, h, cache->fp8_wire);
       std::vector<std::unique_ptr<CommHandle>> handles =
-          StartDispatchChunks(ctx, *cache, x_local, h, &scratch);
+          StartDispatchChunks(ctx, *cache, x_local, h, recv);
       Tensor ffn_in = Tensor::Uninit({rows, h});
       ExecGraph graph;
-      AddScatterChain(&graph, *cache, handles, &scratch, h, cache->fp8_wire, &ffn_in);
-      ok = graph.Execute(/*num_streams=*/2).status.ok();
+      AddScatterChain(&graph, *cache, handles, recv, h, cache->fp8_wire, &ffn_in);
+      ok = graph.Execute(/*num_streams=*/1).status.ok();
       handles.clear();
       if (ok) {
         cache->ffn_in = std::move(ffn_in);

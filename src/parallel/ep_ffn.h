@@ -17,10 +17,12 @@
 // The kAllToAll path is a fused pipeline (the paper's §4.2 fused dispatch
 // kernels, Fig 7): a counting-sort permutation built in one O(T·k) pass
 // replaces per-token pack/sort loops, the wire runs as per-chunk
-// StartAllToAllV handles recorded on an ExecGraph so packing/quantizing
-// chunk i+1 overlaps the transfer of chunk i in both directions, and each
-// chunk's expert FC1→SwiGLU→FC2 chain runs while the next chunk is on the
-// wire. An optional quantize-on-pack FP8 mode calls QuantizeInto per row
+// StartAllToAllV handles so packing/quantizing chunk i+1 overlaps the
+// transfer of chunk i in both directions, and each chunk's expert
+// FC1→SwiGLU→FC2 chain runs while the next chunk is on the wire. Every
+// chunk handle declares its counts from the one metadata all-to-all, so a
+// chunk costs one data rendezvous; its wait is recorded on stream 0 of the
+// ExecGraph, which runs on the rank thread alone (Execute(1)). An optional quantize-on-pack FP8 mode calls QuantizeInto per row
 // straight into the send staging (codes + per-token scale share one wire
 // payload) instead of running a separate quantization pre-pass.
 //

@@ -1,93 +1,120 @@
 #include "src/parallel/sp_attention.h"
 
+#include <algorithm>
+#include <initializer_list>
 #include <vector>
 
+#include "src/base/arena.h"
 #include "src/base/logging.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
 namespace {
 
-// All-to-all re-partition seq->head: input [batch*s_local, H*d] (local token
-// chunk, all H heads) -> output [batch*s, H_loc*d] (full sequence, local
-// head block). The inverse (head->seq) is the same exchange transposed.
-Tensor SeqToHeadA2A(const ShardContext& ctx, const Tensor& x_local, int64_t batch,
-                    int64_t s_local, int64_t heads, int64_t d) {
-  const int n = ctx.size();
-  const int64_t h_loc = heads / n;
-  const int64_t block = batch * s_local * h_loc * d;  // elements per rank pair
-  std::vector<float> send(static_cast<size_t>(block) * n);
-  for (int dst = 0; dst < n; ++dst) {
-    float* out = send.data() + static_cast<int64_t>(dst) * block;
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t t = 0; t < s_local; ++t) {
-        const float* row = x_local.data() + (b * s_local + t) * heads * d;
-        for (int64_t hh = 0; hh < h_loc; ++hh) {
-          const float* src = row + (dst * h_loc + hh) * d;
-          std::copy(src, src + d, out);
-          out += d;
-        }
-      }
-    }
-  }
-  std::vector<float> recv(send.size());
-  ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block);
+// One tensor of a Ulysses exchange. Its sequence-sharded side is `seq`:
+// batch*s_local token rows of `heads` heads, `stride` floats apart (a
+// column block of a wider row, such as q inside qkv). Its head-sharded
+// side is `head`: [batch*s, heads/n*d], the full sequence of this rank's
+// head block.
+struct UlyssesPart {
+  float* seq;
+  int64_t stride;
+  Tensor* head;
+  int64_t heads;
+};
 
-  Tensor x_heads({batch * s_local * n, h_loc * d});
-  for (int src = 0; src < n; ++src) {
-    const float* in = recv.data() + static_cast<int64_t>(src) * block;
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t t = 0; t < s_local; ++t) {
-        float* row = x_heads.data() + (b * s_local * n + src * s_local + t) * h_loc * d;
-        std::copy(in, in + h_loc * d, row);
-        in += h_loc * d;
-      }
-    }
+// Elements one rank sends each peer for `parts`: every part contributes its
+// local head block of every local token.
+int64_t UlyssesBlock(std::initializer_list<UlyssesPart> parts, int n, int64_t tokens,
+                     int64_t d) {
+  int64_t block = 0;
+  for (const UlyssesPart& part : parts) {
+    block += tokens * (part.heads / n) * d;
   }
-  return x_heads;
+  return block;
 }
 
-// Inverse of SeqToHeadA2A.
-Tensor HeadToSeqA2A(const ShardContext& ctx, const Tensor& x_heads, int64_t batch,
-                    int64_t s_local, int64_t heads, int64_t d) {
+// All-to-all re-partition seq->head for every part in ONE exchange: reads
+// part.seq, (re)allocates and fills part.head. Each destination's block is
+// the parts' blocks back to back, so every part moves exactly the bytes its
+// own all-to-all would. Staged in the rank thread's Workspace.
+void SeqToHeadA2A(const ShardContext& ctx, std::initializer_list<UlyssesPart> parts,
+                  int64_t batch, int64_t s_local, int64_t d) {
   const int n = ctx.size();
-  const int64_t h_loc = heads / n;
-  const int64_t block = batch * s_local * h_loc * d;
-  std::vector<float> send(static_cast<size_t>(block) * n);
+  const int64_t tokens = batch * s_local;
+  const int64_t block = UlyssesBlock(parts, n, tokens, d);
+  Workspace& ws = ThreadWorkspace();
+  float* send = ws.Floats("sp.a2a.send", std::max<int64_t>(block * n, 1));
+  float* recv = ws.Floats("sp.a2a.recv", std::max<int64_t>(block * n, 1));
   for (int dst = 0; dst < n; ++dst) {
-    float* out = send.data() + static_cast<int64_t>(dst) * block;
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t t = 0; t < s_local; ++t) {
-        const float* row =
-            x_heads.data() + (b * s_local * n + dst * s_local + t) * h_loc * d;
-        std::copy(row, row + h_loc * d, out);
-        out += h_loc * d;
+    float* out = send + static_cast<int64_t>(dst) * block;
+    for (const UlyssesPart& part : parts) {
+      const int64_t width = part.heads / n * d;
+      for (int64_t t = 0; t < tokens; ++t) {
+        const float* src = part.seq + t * part.stride + dst * width;
+        std::copy(src, src + width, out);
+        out += width;
       }
     }
   }
-  std::vector<float> recv(send.size());
-  ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block);
+  ctx.comm->AllToAll(ctx.rank, send, recv, block);
 
-  Tensor x_local({batch * s_local, heads * d});
+  for (const UlyssesPart& part : parts) {
+    *part.head = Tensor::Uninit({tokens * n, part.heads / n * d});
+  }
   for (int src = 0; src < n; ++src) {
-    const float* in = recv.data() + static_cast<int64_t>(src) * block;
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t t = 0; t < s_local; ++t) {
-        float* row = x_local.data() + (b * s_local + t) * heads * d;
-        for (int64_t hh = 0; hh < h_loc; ++hh) {
-          std::copy(in, in + d, row + (src * h_loc + hh) * d);
-          in += d;
-        }
+    const float* in = recv + static_cast<int64_t>(src) * block;
+    for (const UlyssesPart& part : parts) {
+      const int64_t width = part.heads / n * d;
+      for (int64_t b = 0; b < batch; ++b) {
+        std::copy(in, in + s_local * width,
+                  part.head->data() + (b * s_local * n + src * s_local) * width);
+        in += s_local * width;
       }
     }
   }
-  return x_local;
 }
 
-std::vector<int64_t> GlobalPositions(int64_t s_local, int rank) {
-  std::vector<int64_t> positions(static_cast<size_t>(s_local));
-  for (int64_t i = 0; i < s_local; ++i) {
-    positions[static_cast<size_t>(i)] = static_cast<int64_t>(rank) * s_local + i;
+// Inverse of SeqToHeadA2A, again one exchange for every part: reads
+// part.head, writes part.seq.
+void HeadToSeqA2A(const ShardContext& ctx, std::initializer_list<UlyssesPart> parts,
+                  int64_t batch, int64_t s_local, int64_t d) {
+  const int n = ctx.size();
+  const int64_t tokens = batch * s_local;
+  const int64_t block = UlyssesBlock(parts, n, tokens, d);
+  Workspace& ws = ThreadWorkspace();
+  float* send = ws.Floats("sp.a2a.send", std::max<int64_t>(block * n, 1));
+  float* recv = ws.Floats("sp.a2a.recv", std::max<int64_t>(block * n, 1));
+  for (int dst = 0; dst < n; ++dst) {
+    float* out = send + static_cast<int64_t>(dst) * block;
+    for (const UlyssesPart& part : parts) {
+      const int64_t width = part.heads / n * d;
+      for (int64_t b = 0; b < batch; ++b) {
+        const float* src = part.head->data() + (b * s_local * n + dst * s_local) * width;
+        std::copy(src, src + s_local * width, out);
+        out += s_local * width;
+      }
+    }
+  }
+  ctx.comm->AllToAll(ctx.rank, send, recv, block);
+
+  for (int src = 0; src < n; ++src) {
+    const float* in = recv + static_cast<int64_t>(src) * block;
+    for (const UlyssesPart& part : parts) {
+      const int64_t width = part.heads / n * d;
+      for (int64_t t = 0; t < tokens; ++t) {
+        std::copy(in, in + width, part.seq + t * part.stride + src * width);
+        in += width;
+      }
+    }
+  }
+}
+
+// Head-sharded rows hold whole sequences: row b*s + p is position p.
+std::vector<int64_t> SequencePositions(int64_t batch, int64_t seq_len) {
+  std::vector<int64_t> positions(static_cast<size_t>(batch * seq_len));
+  for (int64_t i = 0; i < batch * seq_len; ++i) {
+    positions[static_cast<size_t>(i)] = i % seq_len;
   }
   return positions;
 }
@@ -110,34 +137,23 @@ Tensor SpAttentionForward(const ShardContext& ctx, const ModelConfig& config,
   cache->ln_in_local = x_local;
   Tensor qkv = MatMul(x_local, w_qkv);
 
-  // Split into q/k/v and apply RoPE with this rank's global positions.
-  Tensor q({batch * s_local, hq * d});
-  Tensor k({batch * s_local, hkv * d});
-  Tensor v({batch * s_local, hkv * d});
-  for (int64_t t = 0; t < batch * s_local; ++t) {
-    const float* row = qkv.data() + t * config.qkv_out_dim();
-    std::copy(row, row + hq * d, q.data() + t * hq * d);
-    std::copy(row + hq * d, row + (hq + hkv) * d, k.data() + t * hkv * d);
-    std::copy(row + (hq + hkv) * d, row + (hq + 2 * hkv) * d, v.data() + t * hkv * d);
-  }
-  const std::vector<int64_t> positions = GlobalPositions(s_local, ctx.rank);
-  for (int64_t b = 0; b < batch; ++b) {
-    Tensor q_seq = q.SliceRows(b * s_local, (b + 1) * s_local).Reshaped({s_local, hq, d});
-    Tensor k_seq = k.SliceRows(b * s_local, (b + 1) * s_local).Reshaped({s_local, hkv, d});
-    RopeInPlace(q_seq, positions, hq, d);
-    RopeInPlace(k_seq, positions, hkv, d);
-    std::copy(q_seq.data(), q_seq.data() + q_seq.numel(), q.data() + b * s_local * hq * d);
-    std::copy(k_seq.data(), k_seq.data() + k_seq.numel(), k.data() + b * s_local * hkv * d);
-  }
-
-  // A2A(q_rope, k_rope, v): sequence-sharded -> head-sharded.
-  cache->q_heads = SeqToHeadA2A(ctx, q, batch, s_local, hq, d);
-  cache->k_heads = SeqToHeadA2A(ctx, k, batch, s_local, hkv, d);
-  cache->v_heads = SeqToHeadA2A(ctx, v, batch, s_local, hkv, d);
-
-  // Full-sequence attention over the local head block.
+  // One A2A(q, k, v) straight from the qkv columns: sequence-sharded ->
+  // head-sharded. RoPE then rotates the full sequences; it is elementwise
+  // in (position, dim), so rotating after the exchange is bitwise rotating
+  // before it.
+  const int64_t stride = config.qkv_out_dim();
   const int64_t hq_loc = hq / n;
   const int64_t hkv_loc = hkv / n;
+  SeqToHeadA2A(ctx,
+               {{qkv.data(), stride, &cache->q_heads, hq},
+                {qkv.data() + hq * d, stride, &cache->k_heads, hkv},
+                {qkv.data() + (hq + hkv) * d, stride, &cache->v_heads, hkv}},
+               batch, s_local, d);
+  const std::vector<int64_t> positions = SequencePositions(batch, seq_len);
+  RopeInPlace(cache->q_heads, positions, hq_loc, d);
+  RopeInPlace(cache->k_heads, positions, hkv_loc, d);
+
+  // Full-sequence attention over the local head block.
   cache->attn.assign(static_cast<size_t>(batch), AttentionCoreCache{});
   cache->attn_heads = Tensor({batch * seq_len, hq_loc * d});
   for (int64_t b = 0; b < batch; ++b) {
@@ -154,7 +170,9 @@ Tensor SpAttentionForward(const ShardContext& ctx, const ModelConfig& config,
   }
 
   // A2A(attn): head-sharded -> sequence-sharded, then output projection.
-  cache->attn_local = HeadToSeqA2A(ctx, cache->attn_heads, batch, s_local, hq, d);
+  cache->attn_local = Tensor::Uninit({batch * s_local, hq * d});
+  HeadToSeqA2A(ctx, {{cache->attn_local.data(), hq * d, &cache->attn_heads, hq}}, batch,
+               s_local, d);
   return MatMul(cache->attn_local, w_out);
 }
 
@@ -177,7 +195,8 @@ SpAttentionGrads SpAttentionBackward(const ShardContext& ctx, const ModelConfig&
   grads.dw_out = std::move(out_grads.db);
 
   // A2A backward: sequence-sharded grad -> head-sharded grad.
-  Tensor dattn_heads = SeqToHeadA2A(ctx, out_grads.da, batch, s_local, hq, d);
+  Tensor dattn_heads;
+  SeqToHeadA2A(ctx, {{out_grads.da.data(), hq * d, &dattn_heads, hq}}, batch, s_local, d);
 
   // Attention core backward per sequence, then RoPE inverse.
   Tensor dq_heads({batch * seq_len, hq_loc * d});
@@ -202,32 +221,19 @@ SpAttentionGrads SpAttentionBackward(const ShardContext& ctx, const ModelConfig&
               dv_heads.data() + b * seq_len * hkv_loc * d);
   }
 
-  // A2A backward to sequence-sharded dq/dk/dv.
-  Tensor dq = HeadToSeqA2A(ctx, dq_heads, batch, s_local, hq, d);
-  Tensor dk = HeadToSeqA2A(ctx, dk_heads, batch, s_local, hkv, d);
-  Tensor dv = HeadToSeqA2A(ctx, dv_heads, batch, s_local, hkv, d);
+  const std::vector<int64_t> positions = SequencePositions(batch, seq_len);
+  RopeBackwardInPlace(dq_heads, positions, hq_loc, d);
+  RopeBackwardInPlace(dk_heads, positions, hkv_loc, d);
 
-  // RoPE backward (inverse rotation) with global positions.
-  const std::vector<int64_t> positions = GlobalPositions(s_local, ctx.rank);
-  for (int64_t b = 0; b < batch; ++b) {
-    Tensor dq_seq = dq.SliceRows(b * s_local, (b + 1) * s_local).Reshaped({s_local, hq, d});
-    Tensor dk_seq = dk.SliceRows(b * s_local, (b + 1) * s_local).Reshaped({s_local, hkv, d});
-    RopeBackwardInPlace(dq_seq, positions, hq, d);
-    RopeBackwardInPlace(dk_seq, positions, hkv, d);
-    std::copy(dq_seq.data(), dq_seq.data() + dq_seq.numel(),
-              dq.data() + b * s_local * hq * d);
-    std::copy(dk_seq.data(), dk_seq.data() + dk_seq.numel(),
-              dk.data() + b * s_local * hkv * d);
-  }
-
-  // Reassemble dqkv and QKV projection backward.
-  Tensor dqkv({batch * s_local, config.qkv_out_dim()});
-  for (int64_t t = 0; t < batch * s_local; ++t) {
-    float* row = dqkv.data() + t * config.qkv_out_dim();
-    std::copy(dq.data() + t * hq * d, dq.data() + (t + 1) * hq * d, row);
-    std::copy(dk.data() + t * hkv * d, dk.data() + (t + 1) * hkv * d, row + hq * d);
-    std::copy(dv.data() + t * hkv * d, dv.data() + (t + 1) * hkv * d, row + (hq + hkv) * d);
-  }
+  // One A2A backward, straight into the dqkv columns, then the QKV
+  // projection backward.
+  const int64_t stride = config.qkv_out_dim();
+  Tensor dqkv = Tensor::Uninit({batch * s_local, stride});
+  HeadToSeqA2A(ctx,
+               {{dqkv.data(), stride, &dq_heads, hq},
+                {dqkv.data() + hq * d, stride, &dk_heads, hkv},
+                {dqkv.data() + (hq + hkv) * d, stride, &dv_heads, hkv}},
+               batch, s_local, d);
   MatMulGrads qkv_grads = MatMulBackward(dqkv, cache.ln_in_local, w_qkv);
   grads.dw_qkv = std::move(qkv_grads.db);
   grads.dx_local = std::move(qkv_grads.da);

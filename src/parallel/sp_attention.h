@@ -2,10 +2,13 @@
 //
 // Each of the n ranks holds s/n contiguous tokens of every sequence and a
 // full replica of the attention weights. Forward:
-//   local QKV projection -> RoPE (global positions) -> all-to-all that
-//   re-partitions from sequence-sharded to head-sharded -> full-sequence
-//   attention on Hq/n local heads -> all-to-all back -> local output
-//   projection.
+//   local QKV projection -> RoPE (global positions) -> ONE all-to-all that
+//   re-partitions q, k and v together from sequence-sharded to
+//   head-sharded -> full-sequence attention on Hq/n local heads ->
+//   all-to-all back -> local output projection.
+// The backward mirrors it: one all-to-all for the attention-output grad,
+// one for dq, dk and dv together — one all-to-all per direction, as the
+// simulator's layer graph (a2a_in, a2a_dqkv) models it.
 // Communication per token is h(1+2/m)/n + h/n activations (Eq 2), vs TP's
 // full 2bsh(n-1)/n (Eq 1).
 //

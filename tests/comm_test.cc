@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "src/base/parallel_for.h"
 #include "src/base/rng.h"
@@ -589,40 +598,153 @@ TEST(AsyncCollectiveTest, StartReduceScatterBitwiseMatchesSync) {
   }
 }
 
-TEST(AsyncCollectiveTest, StartAllToAllVMatchesSyncWithRaggedCounts) {
+// Ragged counts with zeros, declared on both ends from a table every rank
+// knows: one rendezvous lands bitwise what the synchronous AllToAllV
+// delivers, as a single-chunk handle.
+TEST(AsyncCollectiveTest, StartAllToAllVDeclaredCountsMatchSync) {
   const int n = 4;
-  for (const int chunks : {1, 2, 5}) {
-    FlatCommunicator comm(n);
-    RunOnRanks(n, [&](int rank) {
-      // Ragged, rank-dependent counts including zeros.
-      std::vector<int64_t> send_counts(static_cast<size_t>(n));
-      int64_t total = 0;
-      for (int dst = 0; dst < n; ++dst) {
-        send_counts[static_cast<size_t>(dst)] = (rank + dst) % 3 == 0 ? 0 : rank + 2 * dst + 1;
-        total += send_counts[static_cast<size_t>(dst)];
+  const auto count = [](int src, int dst) -> int64_t {
+    return (src + dst) % 3 == 0 ? 0 : src + 2 * dst + 1;
+  };
+  FlatCommunicator comm(n);
+  RunOnRanks(n, [&](int rank) {
+    std::vector<int64_t> send_counts(static_cast<size_t>(n));
+    std::vector<int64_t> recv_counts(static_cast<size_t>(n));
+    int64_t total = 0;
+    int64_t received = 0;
+    for (int peer = 0; peer < n; ++peer) {
+      send_counts[static_cast<size_t>(peer)] = count(rank, peer);
+      recv_counts[static_cast<size_t>(peer)] = count(peer, rank);
+      total += count(rank, peer);
+      received += count(peer, rank);
+    }
+    std::vector<int32_t> send(static_cast<size_t>(total));
+    for (int64_t i = 0; i < total; ++i) {
+      send[static_cast<size_t>(i)] = rank * 100000 + static_cast<int32_t>(i);
+    }
+    std::vector<int32_t> expect(static_cast<size_t>(n) * 64);
+    std::vector<int64_t> expect_counts;
+    comm.AllToAllV(rank, send.data(), send_counts, expect.data(), &expect_counts);
+    ASSERT_EQ(expect_counts, recv_counts);
+    std::vector<int32_t> got(static_cast<size_t>(received), -1);
+    auto handle =
+        comm.StartAllToAllV(rank, send.data(), send_counts, got.data(), recv_counts);
+    EXPECT_EQ(handle->num_chunks(), 1);
+    ASSERT_TRUE(handle->WaitAll().ok());
+    for (int64_t i = 0; i < received; ++i) {
+      EXPECT_EQ(got[static_cast<size_t>(i)], expect[static_cast<size_t>(i)])
+          << "rank=" << rank << " i=" << i;
+    }
+  });
+}
+
+// FP8 dispatch rows travel as bytes — h E4M3 codes plus the token's float
+// scale — so both ends declare rows * (h + 4) bytes, zero-row pairs
+// included. The event records the received byte count as u8 elements and
+// the off-rank bytes as wire volume.
+TEST(AsyncCollectiveTest, StartAllToAllVDeclaredByteCountsForFp8Rows) {
+  const int n = 3;
+  const int64_t row_bytes = 8 + static_cast<int64_t>(sizeof(float));
+  const auto rows = [](int src, int dst) -> int64_t { return (2 * src + dst) % 4; };
+  // Byte j of the block src sends dst.
+  const auto byte_at = [](int src, int dst, int64_t j) {
+    return static_cast<uint8_t>((37 * src + 11 * dst + j) & 0xff);
+  };
+  FlatCommunicator comm(n);
+  RunOnRanks(n, [&](int rank) {
+    std::vector<int64_t> send_counts(static_cast<size_t>(n));
+    std::vector<int64_t> recv_counts(static_cast<size_t>(n));
+    std::vector<uint8_t> send;
+    int64_t received = 0;
+    for (int peer = 0; peer < n; ++peer) {
+      send_counts[static_cast<size_t>(peer)] = rows(rank, peer) * row_bytes;
+      recv_counts[static_cast<size_t>(peer)] = rows(peer, rank) * row_bytes;
+      for (int64_t j = 0; j < rows(rank, peer) * row_bytes; ++j) {
+        send.push_back(byte_at(rank, peer, j));
       }
-      std::vector<int32_t> send(static_cast<size_t>(total));
-      for (int64_t i = 0; i < total; ++i) {
-        send[static_cast<size_t>(i)] = rank * 100000 + static_cast<int32_t>(i);
+      received += rows(peer, rank) * row_bytes;
+    }
+    std::vector<uint8_t> got(static_cast<size_t>(received), 0);
+    auto handle =
+        comm.StartAllToAllV(rank, send.data(), send_counts, got.data(), recv_counts);
+    ASSERT_TRUE(handle->WaitAll().ok());
+    int64_t at = 0;
+    for (int src = 0; src < n; ++src) {
+      for (int64_t j = 0; j < rows(src, rank) * row_bytes; ++j, ++at) {
+        ASSERT_EQ(got[static_cast<size_t>(at)], byte_at(src, rank, j))
+            << "rank=" << rank << " src=" << src << " j=" << j;
       }
-      std::vector<int32_t> expect(static_cast<size_t>(n) * 64);
-      std::vector<int64_t> expect_counts;
-      comm.AllToAllV(rank, send.data(), send_counts, expect.data(), &expect_counts);
-      std::vector<int32_t> got;
-      auto handle = comm.StartAllToAllV(rank, send.data(), send_counts, &got, chunks);
-      ASSERT_TRUE(handle->WaitAll().ok());
-      ASSERT_EQ(handle->recv_counts(), expect_counts) << "chunks=" << chunks;
-      int64_t received = 0;
-      for (const int64_t c : expect_counts) {
-        received += c;
+    }
+  });
+  uint64_t off_rank = 0;
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      if (src != dst) {
+        off_rank += static_cast<uint64_t>(rows(src, dst) * row_bytes);
       }
-      ASSERT_EQ(static_cast<int64_t>(got.size()), received);
-      for (int64_t i = 0; i < received; ++i) {
-        EXPECT_EQ(got[static_cast<size_t>(i)], expect[static_cast<size_t>(i)])
-            << "chunks=" << chunks << " rank=" << rank << " i=" << i;
-      }
-    });
+    }
   }
+  EXPECT_EQ(comm.wire_bytes(), off_rank);
+  for (const CommEvent& event : comm.telemetry().Events()) {
+    EXPECT_EQ(event.op, CommOp::kAllToAllV);
+    EXPECT_EQ(event.elem_type, "u8");
+    EXPECT_EQ(event.wire_bytes, off_rank);
+    int64_t received = 0;
+    for (int src = 0; src < n; ++src) {
+      received += rows(src, event.rank) * row_bytes;
+    }
+    EXPECT_EQ(event.elem_count, received) << "rank " << event.rank;
+  }
+}
+
+// A declaration that disagrees with what a peer sends — one element too
+// many (rank 2) or too few (rank 3) — fails the op on EVERY rank with
+// kInvalidArgument: no rank hangs, and a mismatched rank copies nothing,
+// so no receive buffer sized to a wrong declaration overruns. The channel
+// heals through RecoveryBarrier.
+TEST(AsyncCollectiveTest, StartAllToAllVWrongDeclarationFailsEveryRank) {
+  const int n = 4;
+  FlatCommunicator comm(n);
+  comm.SetCollectiveTimeout(10000.0);  // backstop: a hang fails instead of wedging
+  std::vector<Status> statuses(static_cast<size_t>(n));
+  std::vector<float> after_recovery(static_cast<size_t>(n), 0.0f);
+  RunOnRanks(n, [&](int rank) {
+    std::vector<int64_t> send_counts(static_cast<size_t>(n), 2);
+    std::vector<int64_t> recv_counts(static_cast<size_t>(n), 2);
+    if (rank == 2) {
+      recv_counts[1] = 3;
+    }
+    if (rank == 3) {
+      recv_counts[0] = 1;
+    }
+    const std::vector<float> send(static_cast<size_t>(2 * n), static_cast<float>(rank));
+    const int64_t declared =
+        std::accumulate(recv_counts.begin(), recv_counts.end(), int64_t{0});
+    std::vector<float> recv(static_cast<size_t>(declared), -1.0f);
+    auto handle =
+        comm.StartAllToAllV(rank, send.data(), send_counts, recv.data(), recv_counts);
+    statuses[static_cast<size_t>(rank)] = handle->WaitAll();
+    handle.reset();
+    if (rank >= 2) {
+      for (const float v : recv) {
+        EXPECT_EQ(v, -1.0f) << "rank " << rank << " copied under a wrong declaration";
+      }
+    }
+    comm.RecoveryBarrier(rank);
+    // The healed channel runs a correct declaration again.
+    const std::vector<int64_t> ones(static_cast<size_t>(n), 1);
+    const std::vector<float> mine(static_cast<size_t>(n), static_cast<float>(rank + 1));
+    std::vector<float> got(static_cast<size_t>(n), 0.0f);
+    auto again = comm.StartAllToAllV(rank, mine.data(), ones, got.data(), ones);
+    ASSERT_TRUE(again->WaitAll().ok());
+    after_recovery[static_cast<size_t>(rank)] = std::accumulate(got.begin(), got.end(), 0.0f);
+  });
+  for (int rank = 0; rank < n; ++rank) {
+    EXPECT_EQ(statuses[static_cast<size_t>(rank)].code(), StatusCode::kInvalidArgument)
+        << "rank " << rank << ": " << statuses[static_cast<size_t>(rank)].ToString();
+    EXPECT_EQ(after_recovery[static_cast<size_t>(rank)], 10.0f) << rank;
+  }
+  EXPECT_TRUE(comm.GroupStatus().ok());
 }
 
 // Two handles in flight at once: FIFO comm threads keep the async channel's
@@ -761,6 +883,120 @@ TEST(RunOnRanksTest, ParallelForInsideRankThreads) {
   for (int rank = 0; rank < n; ++rank) {
     EXPECT_EQ(totals[static_cast<size_t>(rank)], 100) << "rank " << rank;
   }
+}
+
+// The all-reduce runs as reduce-scatter + all-gather, so a member's slice
+// decides who sums an element, never the order: every element is bitwise
+// the rank-ordered double sum. The hierarchical backend sums within a node,
+// then across nodes, each level rank-ordered in double (`nodes` == 1 is the
+// flat sum). Inputs mix magnitudes across 2^20 and carry negative zeros, so
+// any other order or a +0.0/-0.0 slip changes bits.
+float RankOrderedSum(const std::vector<std::vector<float>>& inputs, int64_t i, int nodes,
+                     int gpus_per_node) {
+  double across = 0.0;
+  for (int node = 0; node < nodes; ++node) {
+    double within = 0.0;
+    for (int local = 0; local < gpus_per_node; ++local) {
+      within += static_cast<double>(
+          inputs[static_cast<size_t>(node * gpus_per_node + local)][static_cast<size_t>(i)]);
+    }
+    across += static_cast<double>(static_cast<float>(within));
+  }
+  return static_cast<float>(across);
+}
+
+TEST(AllReduceAlgorithmTest, BitwiseRankOrderedSumOnFlatAndHierarchicalBackends) {
+  for (int n = 1; n <= 4; ++n) {
+    const std::set<int64_t> counts{0, 1, n - 1, n + 1, 451904};
+    // (nodes, gpus_per_node) shapes of n ranks; nodes == 0 is the flat backend.
+    std::vector<std::pair<int, int>> shapes{{0, n}};
+    for (int nodes = 1; nodes <= n; ++nodes) {
+      if (n % nodes == 0) {
+        shapes.emplace_back(nodes, n / nodes);
+      }
+    }
+    for (const int64_t count : counts) {
+      std::vector<std::vector<float>> inputs(static_cast<size_t>(n));
+      for (int rank = 0; rank < n; ++rank) {
+        Rng rng(0xa11u + static_cast<uint64_t>(rank));
+        for (int64_t i = 0; i < count; ++i) {
+          const float scale = static_cast<float>(1 << ((i + rank) % 21));
+          inputs[static_cast<size_t>(rank)].push_back(
+              i % 17 == 0 ? -0.0f : static_cast<float>(rng.NextGaussian()) * scale);
+        }
+      }
+      for (const auto& [nodes, gpus] : shapes) {
+        std::vector<float> expect(static_cast<size_t>(count));
+        for (int64_t i = 0; i < count; ++i) {
+          expect[static_cast<size_t>(i)] =
+              RankOrderedSum(inputs, i, nodes == 0 ? 1 : nodes, gpus);
+        }
+        for (const bool in_place : {false, true}) {
+          std::unique_ptr<Communicator> comm;
+          if (nodes == 0) {
+            comm = std::make_unique<FlatCommunicator>(n);
+          } else {
+            comm = std::make_unique<HierarchicalCommunicator>(nodes, gpus);
+          }
+          RunOnRanks(n, [&](int rank) {
+            std::vector<float> send = inputs[static_cast<size_t>(rank)];
+            std::vector<float> recv(static_cast<size_t>(count), 7.0f);
+            float* out = in_place ? send.data() : recv.data();
+            comm->AllReduce(rank, send.data(), out, count);
+            EXPECT_EQ(std::memcmp(out, expect.data(),
+                                  static_cast<size_t>(count) * sizeof(float)),
+                      0)
+                << "n=" << n << " count=" << count << " nodes=" << nodes
+                << " in_place=" << in_place << " rank=" << rank;
+          });
+          ASSERT_TRUE(comm->GroupStatus().ok());
+        }
+      }
+    }
+  }
+}
+
+// A comm proxy raises itself to SCHED_FIFO. When its communicator dies the
+// thread goes back to the rank pool, and whatever runs there next — here
+// the ranks of a wider run, which take the freed proxies first — must run
+// at the normal policy.
+TEST(PooledThreadTest, RanksRunAtNormalPolicyAfterACommProxyIsDestroyed) {
+#if defined(__linux__)
+  int probe = 0;
+  std::thread([&probe] {
+    sched_param param{};
+    param.sched_priority = 1;
+    probe = pthread_setschedparam(pthread_self(), SCHED_FIFO, &param);
+  }).join();
+  if (probe == EPERM) {
+    GTEST_SKIP() << "this host does not permit SCHED_FIFO";
+  }
+  ASSERT_EQ(probe, 0);
+  const int n = 4;
+  {
+    FlatCommunicator comm(n);
+    RunOnRanks(n, [&](int rank) {
+      const float mine = static_cast<float>(rank);
+      std::vector<float> all(static_cast<size_t>(n));
+      auto handle = comm.StartAllGather(rank, &mine, all.data(), 1, 1);
+      ASSERT_TRUE(handle->WaitAll().ok());
+    });
+  }
+  // Wide enough to take every free pool thread in this process.
+  const int wide = 32;
+  std::vector<int> policies(static_cast<size_t>(wide), -1);
+  RunOnRanks(wide, [&](int rank) {
+    sched_param param{};
+    int policy = -1;
+    ASSERT_EQ(pthread_getschedparam(pthread_self(), &policy, &param), 0);
+    policies[static_cast<size_t>(rank)] = policy;
+  });
+  for (int rank = 0; rank < wide; ++rank) {
+    EXPECT_EQ(policies[static_cast<size_t>(rank)], SCHED_OTHER) << "rank " << rank;
+  }
+#else
+  GTEST_SKIP() << "scheduling policies are Linux-only here";
+#endif
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "src/base/rng.h"
 #include "src/comm/communicator.h"
 #include "src/core/exec_graph.h"
+#include "src/obs/metrics.h"
 #include "src/parallel/fused_ops.h"
 #include "src/sim/graph.h"
 #include "src/tensor/tensor_ops.h"
@@ -221,6 +223,32 @@ TEST(ExecGraphTest, MeasuredTimelineMatchesExecutedSchedule) {
     EXPECT_DOUBLE_EQ(timeline.timings[i].end - timeline.timings[i].start,
                      ops[i].duration);
   }
+}
+
+// A comm wait recorded on stream 0 is the compute stream idling on an
+// event: the per-step busy feed classifies ops by kind, not stream, so the
+// wait lands in comm_busy and in the bubble, never in compute_busy.
+TEST(ExecGraphTest, StreamZeroCommOpsFeedCommBusyAndBubble) {
+  ExecStepStats stats;
+  ExecStepStats* previous = SetCurrentThreadExecStats(&stats);
+  ExecGraph graph;
+  const int wait = graph.AddComm("wait", /*stream=*/0, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return Status::Ok();
+  });
+  graph.AddCompute("work", [] { return Status::Ok(); }, {wait});
+  const ExecResult result = graph.Execute(1);
+  SetCurrentThreadExecStats(previous);
+  ASSERT_TRUE(result.status.ok());
+  const auto busy = [&result](int op) {
+    return result.timings[static_cast<size_t>(op)].end_us -
+           result.timings[static_cast<size_t>(op)].start_us;
+  };
+  EXPECT_EQ(stats.graphs, 1);
+  EXPECT_DOUBLE_EQ(stats.comm_busy_us, busy(0));
+  EXPECT_DOUBLE_EQ(stats.compute_busy_us, busy(1));
+  EXPECT_GE(busy(0), 5000.0);
+  EXPECT_GE(stats.bubble_us, busy(0));
 }
 
 // Bitwise determinism across the schedule grid: a mixed graph with chained

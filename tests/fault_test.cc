@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -254,6 +257,76 @@ TEST(CommunicatorFaultTest, HierarchicalBackendAbortsEveryConstituentGroup) {
     EXPECT_EQ(sum, 4.0f);
   }
 }
+
+// --- Abort-release rule -----------------------------------------------------
+
+// A float whose conversion to double runs `hook` when the element at
+// `hook_at` is read: it parks a reader inside a collective's read phase at
+// a chosen point.
+struct HookedFloat {
+  float value = 0.0f;
+  HookedFloat() = default;
+  explicit HookedFloat(double v) : value(static_cast<float>(v)) {}
+  explicit operator double() const {
+    if (this == hook_at) {
+      hook();
+    }
+    return value;
+  }
+  static inline const HookedFloat* hook_at = nullptr;
+  static inline std::function<void()> hook;
+};
+
+// Member 0 parks while it sums member 1's send buffer and aborts the group
+// from there. Member 1 must not leave the collective — after which it
+// reuses its send buffer — while member 0 is still reading it. The park
+// lasts until member 1 leaves or 300 ms pass; leaving inside the park is
+// the race. Param: true = all-reduce, false = reduce-scatter (the first
+// step of the hierarchical all-reduce).
+class AbortReleaseTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AbortReleaseTest, AbortedMemberWaitsForThePeerStillReadingItsBuffer) {
+  const bool all_reduce = GetParam();
+  CollectiveGroup group(2);
+  // In both collectives member 0 sums element 0 of every send buffer and
+  // member 1 element 1.
+  std::vector<HookedFloat> send0(2, HookedFloat(1.0));
+  std::vector<HookedFloat> send1(2, HookedFloat(2.0));
+  std::mutex mu;
+  std::condition_variable cv;
+  bool member1_left = false;
+  bool left_while_parked = false;
+  HookedFloat::hook_at = &send1[0];
+  HookedFloat::hook = [&] {
+    group.Abort(Aborted("abort while member 0 reads member 1's buffer"));
+    std::unique_lock<std::mutex> lock(mu);
+    left_while_parked =
+        cv.wait_for(lock, std::chrono::milliseconds(300), [&] { return member1_left; });
+  };
+  std::vector<Status> statuses(2);
+  RunOnRanks(2, [&](int rank) {
+    std::vector<HookedFloat>& send = rank == 0 ? send0 : send1;
+    std::vector<HookedFloat> recv(2);
+    statuses[static_cast<size_t>(rank)] =
+        all_reduce ? group.TryAllReduce(rank, send.data(), recv.data(), 2)
+                   : group.TryReduceScatter(rank, send.data(), recv.data(), 1);
+    if (rank == 1) {
+      send[0] = HookedFloat(-1.0);  // the caller reuses its buffer
+      std::lock_guard<std::mutex> lock(mu);
+      member1_left = true;
+      cv.notify_all();
+    }
+  });
+  HookedFloat::hook_at = nullptr;
+  HookedFloat::hook = nullptr;
+  EXPECT_FALSE(left_while_parked);
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kAborted) << status.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllReduceAndReduceScatter, AbortReleaseTest,
+                         ::testing::Bool());
 
 // --- Async chunked collective faults ----------------------------------------
 

@@ -45,6 +45,7 @@ struct MacroRun {
   std::vector<int64_t> cache_bytes;
   std::vector<int> pipeline_chunks;  // cache.ffn.pipeline_chunks per rank
   std::vector<char> fp8_wire;        // cache.ffn.fp8_wire per rank
+  std::vector<int> collectives;      // CommEvents each rank recorded
 };
 
 // Every gradient tensor of `a` bitwise equal to its counterpart in `b`.
@@ -113,6 +114,10 @@ class MacroLayerFixture : public ::testing::Test {
       run.dx[static_cast<size_t>(rank)] = std::move(grads.dx_local);
       run.dparams[static_cast<size_t>(rank)] = std::move(grads.dparams);
     });
+    run.collectives.assign(n, 0);
+    for (const CommEvent& event : group.telemetry().Events()) {
+      ++run.collectives[static_cast<size_t>(event.rank)];
+    }
     return run;
   }
 
@@ -223,6 +228,21 @@ TEST_P(MacroLayerChunksTest, RequestedChunkCountIsBitwiseC1) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Chunks, MacroLayerChunksTest, ::testing::Values(1, 4));
+
+// One SP+EP layer step with SAR at C = 4 records, per rank: forward — one
+// Ulysses all-to-all for q/k/v, one for the attention output, the metadata
+// all-to-all-v, 4 dispatch and 4 combine chunks; backward — 4
+// rematerialized dispatch chunks, 4 + 4 EP backward chunks, one Ulysses
+// all-to-all for the output grad and one for dq/dk/dv. 25 collectives.
+TEST_F(MacroLayerFixture, SarLayerStepRecords25CollectivesPerRank) {
+  ParallelMoeLayerOptions options;
+  options.sar = true;
+  options.pipeline.num_chunks = 4;
+  const MacroRun run = RunParallel(options);
+  for (int rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(run.collectives[static_cast<size_t>(rank)], 25) << "rank " << rank;
+  }
+}
 
 class MacroLayerFp8Test : public MacroLayerFixture {};
 

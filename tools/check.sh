@@ -12,10 +12,14 @@
 # async pipelines; exec_graph_test hammers the runtime task-graph executor
 # across streams and randomized schedules; property_test pins the fused EP
 # dispatch pipeline against the single-rank reference across worker, chunk
-# and top-k counts); fault_test (including the SP+EP layer crash sweep) and
+# and top-k counts; macro_layer_test and distributed_lm_test run the whole
+# SP+EP step — fused Ulysses all-to-alls, declared-count EP chunk
+# all-to-alls waited on the rank thread, SAR replay); fault_test (including
+# the SP+EP layer crash sweep and the abort-release interleaving) and
 # the recovery bench under ASan cover the checkpoint IO and
 # buffer-corruption paths, and parallel_test /
-# property_test under ASan cover the Workspace-staged dispatch packing;
+# property_test / macro_layer_test / distributed_lm_test under ASan cover
+# the Workspace-staged dispatch packing and receive staging;
 # the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
@@ -46,11 +50,11 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
-echo "== TSan: tensor_test + comm_test + kernel_test + model_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + obs_test =="
+echo "== TSan: tensor_test + comm_test + kernel_test + model_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target tensor_test comm_test kernel_test model_test \
   parallel_test telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
-  property_test obs_test bench_fault_recovery >/dev/null
+  property_test macro_layer_test distributed_lm_test obs_test bench_fault_recovery >/dev/null
 ./build-tsan/tests/tensor_test
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/kernel_test
@@ -62,14 +66,17 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test model_tes
 ./build-tsan/tests/fused_ops_test
 ./build-tsan/tests/exec_graph_test
 ./build-tsan/tests/property_test
+./build-tsan/tests/macro_layer_test
+./build-tsan/tests/distributed_lm_test
 ./build-tsan/tests/obs_test
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
-echo "== ASan: tensor_test + fault_test + elastic_test + parallel_test + property_test + obs_test + checkpoint/recovery paths =="
+echo "== ASan: tensor_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
 cmake -B build-asan -S . -DMSMOE_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target tensor_test fault_test elastic_test model_test \
-  trainer_test fused_ops_test parallel_test property_test obs_test >/dev/null
+  trainer_test fused_ops_test parallel_test property_test macro_layer_test \
+  distributed_lm_test obs_test >/dev/null
 ./build-asan/tests/tensor_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/elastic_test
@@ -78,6 +85,8 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/fused_ops_test
 ./build-asan/tests/parallel_test
 ./build-asan/tests/property_test
+./build-asan/tests/macro_layer_test
+./build-asan/tests/distributed_lm_test
 ./build-asan/tests/obs_test
 
 echo
