@@ -153,8 +153,6 @@ void ArenaRelease(void* p, int64_t bytes) {
 
 void SetArenaPoolingEnabled(bool enabled) { Global().pooling.store(enabled, kRelaxed); }
 
-bool ArenaPoolingEnabled() { return Global().pooling.load(kRelaxed); }
-
 void ArenaTrim() {
   ArenaState& a = Global();
   for (int c = 0; c < kNumClasses; ++c) {
@@ -207,38 +205,6 @@ void ResetMemStats() {
     a.phases[i].heap_allocs.store(0, kRelaxed);
     a.phases[i].acquired_bytes.store(0, kRelaxed);
   }
-}
-
-MemStatsSnapshot MemStatsDelta(const MemStatsSnapshot& before,
-                               const MemStatsSnapshot& after) {
-  MemStatsSnapshot out;
-  out.acquires = after.acquires - before.acquires;
-  out.pool_hits = after.pool_hits - before.pool_hits;
-  out.heap_allocs = after.heap_allocs - before.heap_allocs;
-  out.releases = after.releases - before.releases;
-  out.acquired_bytes = after.acquired_bytes - before.acquired_bytes;
-  out.heap_bytes = after.heap_bytes - before.heap_bytes;
-  out.live_bytes = after.live_bytes;
-  out.high_water_bytes = after.high_water_bytes;
-  for (const MemPhaseSnapshot& phase : after.phases) {
-    const MemPhaseSnapshot* base = nullptr;
-    for (const MemPhaseSnapshot& candidate : before.phases) {
-      if (candidate.name == phase.name) {
-        base = &candidate;
-        break;
-      }
-    }
-    MemPhaseSnapshot delta;
-    delta.name = phase.name;
-    delta.acquires = phase.acquires - (base != nullptr ? base->acquires : 0);
-    delta.pool_hits = phase.pool_hits - (base != nullptr ? base->pool_hits : 0);
-    delta.heap_allocs =
-        phase.heap_allocs - (base != nullptr ? base->heap_allocs : 0);
-    delta.acquired_bytes =
-        phase.acquired_bytes - (base != nullptr ? base->acquired_bytes : 0);
-    out.phases.push_back(std::move(delta));
-  }
-  return out;
 }
 
 MemoryScope::MemoryScope(const char* phase) {

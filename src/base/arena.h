@@ -64,7 +64,6 @@ inline void ArenaReleaseFloats(float* p, int64_t count) {
 // allocator and releases free immediately. Blocks already sitting in the
 // free lists stay there (ArenaTrim reclaims them). Default: enabled.
 void SetArenaPoolingEnabled(bool enabled);
-bool ArenaPoolingEnabled();
 
 // Frees every block currently held in the free lists back to the system.
 // Outstanding (live) blocks are unaffected. Mainly for benchmarks that want
@@ -110,14 +109,6 @@ MemStatsSnapshot GetMemStats();
 // reset will still be released after it); the high-water mark restarts at
 // the current live level.
 void ResetMemStats();
-
-// Differences two snapshots' monotonic fields (after - before), including
-// the per-phase rows (matched by name; phases absent from `before` count
-// from zero). live_bytes/high_water_bytes carry `after`'s absolute values —
-// they are levels, not counters. The step profiler uses this to attribute
-// a window's allocation profile without resetting the global counters.
-MemStatsSnapshot MemStatsDelta(const MemStatsSnapshot& before,
-                               const MemStatsSnapshot& after);
 
 // RAII phase label for the telemetry: arena traffic on THIS thread while the
 // scope is alive is attributed to `phase` (a string literal; at most 32

@@ -13,12 +13,6 @@ constexpr int64_t AlignUp(int64_t value, int64_t alignment) {
   return CeilDiv(value, alignment) * alignment;
 }
 
-// Relative difference |a-b| / max(|a|, |b|, eps); symmetric, safe near zero.
-inline double RelativeDiff(double a, double b, double eps = 1e-12) {
-  const double denom = std::fmax(std::fmax(std::fabs(a), std::fabs(b)), eps);
-  return std::fabs(a - b) / denom;
-}
-
 // True when a and b agree to within atol + rtol * |b| (numpy allclose rule).
 inline bool AlmostEqual(double a, double b, double rtol = 1e-5, double atol = 1e-8) {
   return std::fabs(a - b) <= atol + rtol * std::fabs(b);

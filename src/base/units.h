@@ -34,7 +34,6 @@ constexpr double ToGBps(double bytes_per_us) { return bytes_per_us * kUsPerSecon
 constexpr double UsToSeconds(double us) { return us / kUsPerSecond; }
 constexpr double UsToMs(double us) { return us / kUsPerMs; }
 constexpr double SecondsToUs(double s) { return s * kUsPerSecond; }
-constexpr double MsToUs(double ms) { return ms * kUsPerMs; }
 
 }  // namespace msmoe
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "src/base/arena.h"
 #include "src/base/logging.h"
@@ -172,6 +173,33 @@ GroupedGemmGrads GroupedGemmBackward(const Tensor& dy, const Tensor& x,
   MSMOE_CHECK(!weights.empty());
   return GroupedGemmBackward(dy, x, offsets, weights.data(),
                              static_cast<int64_t>(weights.size()));
+}
+
+ExpertFfnActs ExpertFfn(const Tensor& x, const std::vector<int64_t>& offsets,
+                        const ExpertWeights& weights) {
+  const int64_t e = weights.num_experts;
+  ExpertFfnActs acts;
+  acts.fc1_out = GroupedGemm(x, offsets, weights.w1, e);
+  acts.fc3_out = GroupedGemm(x, offsets, weights.w3, e);
+  acts.fc2_in = SwiGlu(acts.fc1_out, acts.fc3_out);
+  acts.fc2_out = GroupedGemm(acts.fc2_in, offsets, weights.w2, e);
+  return acts;
+}
+
+ExpertFfnGrads ExpertFfnBackward(const Tensor& dy, const Tensor& x, const ExpertFfnActs& acts,
+                                 const std::vector<int64_t>& offsets,
+                                 const ExpertWeights& weights) {
+  const int64_t e = weights.num_experts;
+  ExpertFfnGrads grads;
+  GroupedGemmGrads fc2 = GroupedGemmBackward(dy, acts.fc2_in, offsets, weights.w2, e);
+  grads.dw2 = std::move(fc2.dweights);
+  SwiGluGrads swiglu = SwiGluBackward(fc2.dx, acts.fc1_out, acts.fc3_out);
+  GroupedGemmGrads fc1 = GroupedGemmBackward(swiglu.dgate, x, offsets, weights.w1, e);
+  GroupedGemmGrads fc3 = GroupedGemmBackward(swiglu.dlinear, x, offsets, weights.w3, e);
+  grads.dw1 = std::move(fc1.dweights);
+  grads.dw3 = std::move(fc3.dweights);
+  grads.dx = Add(fc1.dx, fc3.dx);
+  return grads;
 }
 
 }  // namespace msmoe

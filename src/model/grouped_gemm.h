@@ -1,5 +1,10 @@
 // Grouped GEMM: one matmul per expert over contiguous row ranges of a
-// dispatched token tensor (the GroupedGEMM operator of the paper).
+// dispatched token tensor (the GroupedGEMM operator of the paper), and the
+// expert FFN built on it: GroupedGEMM -> SwiGLU -> GroupedGEMM (§3.2).
+// The FFN is the one expert computation of the repo: the single-rank MoE
+// layer, both EP dispatch modes (src/parallel/ep_ffn) and the TP FFN
+// (src/parallel/tp_ffn, on its f/n weight shards) feed it rows grouped by
+// expert; only the dispatch around it differs.
 //
 // Load balancing: skewed routing concentrates rows on a few hot experts, so
 // distributing whole experts across the worker pool serializes on the
@@ -39,6 +44,41 @@ GroupedGemmGrads GroupedGemmBackward(const Tensor& dy, const Tensor& x,
 GroupedGemmGrads GroupedGemmBackward(const Tensor& dy, const Tensor& x,
                                      const std::vector<int64_t>& offsets,
                                      const std::vector<Tensor>& weights);
+
+// The weights of num_experts consecutive experts: spans into a layer's
+// per-expert vectors (all of them, or one rank's window).
+struct ExpertWeights {
+  const Tensor* w1 = nullptr;  // [h, f] SwiGLU gate projection (FC1)
+  const Tensor* w3 = nullptr;  // [h, f] SwiGLU linear projection (FC3)
+  const Tensor* w2 = nullptr;  // [f, h] FC2
+  int64_t num_experts = 0;
+};
+
+// What ExpertFfn keeps for the backward, rows grouped like its input.
+struct ExpertFfnActs {
+  Tensor fc1_out;  // [R, f]
+  Tensor fc3_out;  // [R, f]
+  Tensor fc2_in;   // [R, f] SwiGLU output
+  Tensor fc2_out;  // [R, h]
+};
+
+// FC1 and FC3 grouped GEMMs -> SwiGlu -> FC2 grouped GEMM over x ([R, h],
+// rows grouped by expert as in GroupedGemm). Every output row depends on
+// its input row alone, so running it on any subset of rows (one pipeline
+// chunk's) gives those rows' bits of the whole-tensor call.
+ExpertFfnActs ExpertFfn(const Tensor& x, const std::vector<int64_t>& offsets,
+                        const ExpertWeights& weights);
+
+struct ExpertFfnGrads {
+  Tensor dx;  // [R, h]
+  std::vector<Tensor> dw1, dw3, dw2;  // one per expert of `weights`
+};
+
+// Backward of ExpertFfn: dy is the gradient w.r.t. acts.fc2_out, x and acts
+// the forward's input and activations (fc2_out is not read).
+ExpertFfnGrads ExpertFfnBackward(const Tensor& dy, const Tensor& x, const ExpertFfnActs& acts,
+                                 const std::vector<int64_t>& offsets,
+                                 const ExpertWeights& weights);
 
 }  // namespace msmoe
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/base/logging.h"
-#include "src/model/grouped_gemm.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
@@ -11,6 +10,11 @@ namespace {
 
 // Initialization stddev following GPT-style 0.02 scaled init.
 constexpr float kInitStd = 0.02f;
+
+ExpertWeights AllExperts(const MoeLayerParams& params) {
+  return ExpertWeights{params.w1.data(), params.w3.data(), params.w2.data(),
+                       static_cast<int64_t>(params.w1.size())};
+}
 
 std::vector<int64_t> SequencePositions(int64_t seq_len) {
   std::vector<int64_t> positions(static_cast<size_t>(seq_len));
@@ -150,10 +154,7 @@ Tensor MoeLayerForward(const MoeLayerParams& params, const ModelConfig& config,
   cache->ffn_in = GatherRows(cache->ln2_out, cache->plan.row_map);
 
   // Expert FFN: FC1/FC3 -> SwiGLU -> FC2.
-  cache->fc1_out = GroupedGemm(cache->ffn_in, cache->plan.expert_offsets, params.w1);
-  cache->fc3_out = GroupedGemm(cache->ffn_in, cache->plan.expert_offsets, params.w3);
-  cache->fc2_in = SwiGlu(cache->fc1_out, cache->fc3_out);
-  cache->fc2_out = GroupedGemm(cache->fc2_in, cache->plan.expert_offsets, params.w2);
+  cache->acts = ExpertFfn(cache->ffn_in, cache->plan.expert_offsets, AllExperts(params));
 
   // Weighted combine (gating applied after FC2) + residual.
   Tensor out = cache->ln2_in;
@@ -166,7 +167,7 @@ Tensor MoeLayerForward(const MoeLayerParams& params, const ModelConfig& config,
         continue;
       }
       const float weight = cache->routing.combine_weight.At(t, slot);
-      const float* expert_row = cache->fc2_out.data() + row * config.hidden;
+      const float* expert_row = cache->acts.fc2_out.data() + row * config.hidden;
       for (int64_t c = 0; c < config.hidden; ++c) {
         out_row[c] += weight * expert_row[c];
       }
@@ -191,7 +192,7 @@ MoeLayerGrads MoeLayerBackward(const MoeLayerParams& params, const ModelConfig& 
   // --- Combine backward: dout -> dfc2_out and dcombine_weight. ---
   // Both stay zero-initialized: dropped slots leave dcombine entries (and,
   // with capacity dropping, dfc2_out rows) untouched.
-  Tensor dfc2_out({cache.fc2_out.dim(0), config.hidden});
+  Tensor dfc2_out({cache.acts.fc2_out.dim(0), config.hidden});
   Tensor dcombine({tokens, k_slots});
   for (int64_t t = 0; t < tokens; ++t) {
     const float* dout_row = dout.data() + t * config.hidden;
@@ -202,7 +203,7 @@ MoeLayerGrads MoeLayerBackward(const MoeLayerParams& params, const ModelConfig& 
       }
       const float weight = cache.routing.combine_weight.At(t, slot);
       float* dfc2_row = dfc2_out.data() + row * config.hidden;
-      const float* fc2_row = cache.fc2_out.data() + row * config.hidden;
+      const float* fc2_row = cache.acts.fc2_out.data() + row * config.hidden;
       float dot = 0.0f;
       for (int64_t c = 0; c < config.hidden; ++c) {
         dfc2_row[c] += weight * dout_row[c];
@@ -213,20 +214,14 @@ MoeLayerGrads MoeLayerBackward(const MoeLayerParams& params, const ModelConfig& 
   }
 
   // --- Expert FFN backward. ---
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.plan.expert_offsets, params.w2);
-  grads.dparams.w2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads = GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in,
-                                                   cache.plan.expert_offsets, params.w1);
-  GroupedGemmGrads fc3_grads = GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in,
-                                                   cache.plan.expert_offsets, params.w3);
-  grads.dparams.w1 = std::move(fc1_grads.dweights);
-  grads.dparams.w3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
+  ExpertFfnGrads ffn_grads = ExpertFfnBackward(dfc2_out, cache.ffn_in, cache.acts,
+                                               cache.plan.expert_offsets, AllExperts(params));
+  grads.dparams.w1 = std::move(ffn_grads.dw1);
+  grads.dparams.w3 = std::move(ffn_grads.dw3);
+  grads.dparams.w2 = std::move(ffn_grads.dw2);
 
   // --- Un-dispatch: scatter token-copy grads back to ln2_out rows. ---
-  Tensor dln2_out = ScatterAddRows(dffn_in, cache.plan.row_map, tokens);
+  Tensor dln2_out = ScatterAddRows(ffn_grads.dx, cache.plan.row_map, tokens);
 
   // --- Router backward. ---
   Tensor dgate_logits = RouterBackward(cache.routing, dcombine, router);

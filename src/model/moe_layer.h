@@ -22,6 +22,7 @@
 #include "src/base/rng.h"
 #include "src/model/attention.h"
 #include "src/model/config.h"
+#include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
 #include "src/tensor/tensor.h"
 
@@ -62,10 +63,7 @@ struct MoeLayerCache {
   RoutingResult routing;
   DispatchPlan plan;
   Tensor ffn_in;       // dispatched rows [R, h]
-  Tensor fc1_out;      // [R, f]
-  Tensor fc3_out;      // [R, f]
-  Tensor fc2_in;       // SwiGLU output [R, f]
-  Tensor fc2_out;      // [R, h]
+  ExpertFfnActs acts;  // expert FFN activations over ffn_in
 };
 
 // hidden is [T, h] with T = batch * seq_len tokens (batch sequences of equal

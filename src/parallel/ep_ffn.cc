@@ -1,8 +1,8 @@
 #include "src/parallel/ep_ffn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,16 +16,12 @@
 #include "src/core/exec_graph.h"
 #include "src/model/grouped_gemm.h"
 #include "src/numerics/quantize.h"
-#include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
 namespace {
 
-// Same expression as SwiGlu in tensor_ops.cc — the chunked forward applies
-// it per expert row range and must stay bitwise identical to the
-// whole-tensor call rematerialization makes.
-inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+using Handles = std::vector<std::unique_ptr<CommHandle>>;
 
 // The FP8 dispatch wire format: E4M3 codes, one scale per token.
 QuantConfig DispatchQuant() {
@@ -100,21 +96,13 @@ void RecordDispatchTelemetry(const ShardContext& ctx, const char* name, int chun
   telemetry.RecordDispatch(std::move(event));
 }
 
-struct ExpertBlock {
-  Tensor fc1, fc3, fc2_in, fc2_out;
-};
-
-// Runs FC1/FC3 -> SwiGLU -> FC2 over rows grouped by local expert. Weights
-// are spans into the caller's full per-expert vectors — no copies.
-ExpertBlock RunExperts(const Tensor& ffn_in, const std::vector<int64_t>& offsets,
-                       const Tensor* w1, const Tensor* w3, const Tensor* w2,
-                       int64_t e_local) {
-  ExpertBlock block;
-  block.fc1 = GroupedGemm(ffn_in, offsets, w1, e_local);
-  block.fc3 = GroupedGemm(ffn_in, offsets, w3, e_local);
-  block.fc2_in = SwiGlu(block.fc1, block.fc3);
-  block.fc2_out = GroupedGemm(block.fc2_in, offsets, w2, e_local);
-  return block;
+// This rank's experts: spans into the caller's full per-expert vectors, no
+// copies.
+ExpertWeights LocalExperts(const ShardContext& ctx, int64_t e_local,
+                           const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
+                           const std::vector<Tensor>& w2) {
+  const int64_t first = ctx.rank * e_local;
+  return ExpertWeights{w1.data() + first, w3.data() + first, w2.data() + first, e_local};
 }
 
 // Packs this rank's dispatch rows chunk by chunk and starts one A2AV
@@ -123,10 +111,8 @@ ExpertBlock RunExperts(const Tensor& ffn_in, const std::vector<int64_t>& offsets
 // h codes plus their per-token scale in one payload (quantize-on-pack: no
 // separate quantization pre-pass or scale exchange). Chunk c lands in
 // `recv` (DispatchRecvStaging) at its wire rows.
-std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(const ShardContext& ctx,
-                                                             const EpFfnCache& cache,
-                                                             const Tensor& x_local,
-                                                             int64_t h, void* recv) {
+Handles StartDispatchChunks(const ShardContext& ctx, const EpFfnCache& cache,
+                            const Tensor& x_local, int64_t h, void* recv) {
   const int n = ctx.size();
   const int C = cache.pipeline_chunks;
   const int64_t total_send = static_cast<int64_t>(cache.send_token.size());
@@ -141,7 +127,7 @@ std::vector<std::unique_ptr<CommHandle>> StartDispatchChunks(const ShardContext&
   } else {
     stage_f = ws.Floats("ep.a2a.dispatch", std::max<int64_t>(total_send * h, 1));
   }
-  std::vector<std::unique_ptr<CommHandle>> handles(static_cast<size_t>(C));
+  Handles handles(static_cast<size_t>(C));
   std::vector<int64_t> send_counts;
   std::vector<int64_t> recv_counts;
   for (int c = 0; c < C; ++c) {
@@ -240,40 +226,103 @@ std::unique_ptr<CommHandle> StartReturnChunk(const ShardContext& ctx, const EpFf
       recv + cache.send_chunk_base[static_cast<size_t>(c)] * h, recv_counts);
 }
 
-// Records the receive side of a chunked dispatch on `graph`: a chained wait
-// per chunk plus a chained scatter delivering that chunk's rows into `dst`
-// at their grouped positions (dequantizing on the fly in FP8 mode). The
-// waits are comm ops on stream 0 — the compute stream waits on the chunk's
-// event, as cudaStreamWaitEvent would — so the graph runs with
-// Execute(1) on the rank thread alone.
-void AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
-                     const std::vector<std::unique_ptr<CommHandle>>& handles,
-                     const void* recv, int64_t h, bool fp8, Tensor* dst) {
-  const int C = cache.pipeline_chunks;
-  const EpFfnCache* cache_p = &cache;
-  int prev_wait = -1;
-  int prev_scatter = -1;
-  for (int c = 0; c < C; ++c) {
-    std::vector<int> wait_deps;
-    if (prev_wait >= 0) {
-      wait_deps.push_back(prev_wait);
-    }
-    CommHandle* handle = handles[static_cast<size_t>(c)].get();
-    const int wait =
-        graph->AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/0,
-                       [handle] { return handle->WaitAll(); }, wait_deps);
-    std::vector<int> deps{wait};
-    if (prev_scatter >= 0) {
-      deps.push_back(prev_scatter);
-    }
-    prev_scatter = graph->AddCompute(
-        "ep_scatter[" + std::to_string(c) + "]",
-        [cache_p, recv, dst, c, h, fp8] {
-          return ScatterChunkRows(*cache_p, recv, c, h, fp8, dst);
-        },
-        deps, "scatter");
-    prev_wait = wait;
+// The tails of a chunk-wait chain: its last wait and the last op after it
+// (-1 before the first chunk).
+struct ChunkChain {
+  int wait = -1;
+  int consume = -1;
+};
+
+// Records chunk c's turn of a chunked transfer on `graph`: a wait on
+// (*handles)[c], then `consume`, the op that reads the chunk, named
+// wait_name[c] and consume_name[c]. The wait is a comm op on stream 0 — the
+// compute stream waits on the chunk's event, as cudaStreamWaitEvent would —
+// so the graph runs with Execute(1) on the rank thread alone. Both ops
+// chain to their predecessors in `chain`; `after`, if set, also gates the
+// wait. The handle is read when the wait runs, so an earlier op of the
+// same graph may start it.
+void AddChunkWait(ExecGraph* graph, ChunkChain* chain, const Handles* handles, int c,
+                  const char* wait_name, const char* consume_name, const char* category,
+                  std::function<Status()> consume, int after = -1) {
+  const auto name = [c](const char* base) {
+    return std::string(base) + "[" + std::to_string(c) + "]";
+  };
+  std::vector<int> wait_deps;
+  if (after >= 0) {
+    wait_deps.push_back(after);
   }
+  if (chain->wait >= 0) {
+    wait_deps.push_back(chain->wait);
+  }
+  chain->wait = graph->AddComm(
+      name(wait_name), /*stream=*/0,
+      [handles, c] { return (*handles)[static_cast<size_t>(c)]->WaitAll(); }, wait_deps);
+  std::vector<int> deps{chain->wait};
+  if (chain->consume >= 0) {
+    deps.push_back(chain->consume);
+  }
+  chain->consume =
+      graph->AddCompute(name(consume_name), std::move(consume), deps, category);
+}
+
+// Records dispatch chunk c's wait and the scatter that delivers its rows
+// into `dst` at their grouped positions (dequantizing on the fly in FP8
+// mode).
+void AddScatterChunk(ExecGraph* graph, ChunkChain* chain, const EpFfnCache& cache,
+                     const Handles& handles, const void* recv, int c, int64_t h, bool fp8,
+                     Tensor* dst) {
+  const EpFfnCache* cache_p = &cache;
+  AddChunkWait(graph, chain, &handles, c, "ep_dispatch_wait", "ep_scatter", "scatter",
+               [cache_p, recv, c, h, fp8, dst] {
+                 return ScatterChunkRows(*cache_p, recv, c, h, fp8, dst);
+               });
+}
+
+// Runs the expert FFN on dispatch chunk c's rows. Sorting the chunk's
+// grouped positions groups its rows by (expert, source, token) — the
+// grouped order restricted to the chunk — so the chunk runs as one
+// ExpertFfn call over its gathered rows, with chunk-local expert offsets,
+// instead of hundreds of 1-row GEMMs (within a (chunk, source) wire
+// segment rows alternate experts). ExpertFfn's rows are independent, so
+// every result row is bitwise the whole-tensor call's; they go back to
+// their grouped positions.
+Status ExpertChunk(EpFfnCache* cache, int c, const ExpertWeights& experts) {
+  const int64_t base = cache->recv_chunk_base[static_cast<size_t>(c)];
+  const int64_t rows = cache->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
+  if (rows == 0) {
+    return Status::Ok();
+  }
+  int64_t* gidx = WsInts("ep.chunk_gather", rows);
+  std::copy(cache->chunk_to_sorted.begin() + base,
+            cache->chunk_to_sorted.begin() + base + rows, gidx);
+  std::sort(gidx, gidx + rows);
+  std::vector<int64_t> offsets(static_cast<size_t>(experts.num_experts) + 1);
+  for (size_t e = 0; e < offsets.size(); ++e) {
+    offsets[e] = std::lower_bound(gidx, gidx + rows, cache->local_offsets[e]) - gidx;
+  }
+  const int64_t h = cache->ffn_in.dim(1);
+  Tensor x = Tensor::Uninit({rows, h});
+  ParallelFor(rows, 32, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      std::memcpy(x.data() + r * h, cache->ffn_in.data() + gidx[r] * h,
+                  static_cast<size_t>(h) * sizeof(float));
+    }
+  });
+  const ExpertFfnActs acts = ExpertFfn(x, offsets, experts);
+  const auto put = [gidx](const Tensor& src, Tensor& dst, int64_t r) {
+    const int64_t width = src.dim(1);
+    std::memcpy(dst.data() + gidx[r] * width, src.data() + r * width,
+                static_cast<size_t>(width) * sizeof(float));
+  };
+  ParallelFor(rows, 32, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      put(acts.fc1_out, cache->acts.fc1_out, r);
+      put(acts.fc3_out, cache->acts.fc3_out, r);
+      put(acts.fc2_in, cache->acts.fc2_in, r);
+      put(acts.fc2_out, cache->acts.fc2_out, r);
+    }
+  });
+  return Status::Ok();
 }
 
 // The fused kAllToAll forward (§4.2, Fig 7). Bitwise identical for every
@@ -463,26 +512,6 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     }
   }
 
-  // --- Per-chunk gather order: chunk c's grouped rows, ascending. Sorting
-  // each chunk's chunk_to_sorted slice groups its rows by (expert, source,
-  // token) — the grouped order restricted to the chunk — so chunk c's
-  // expert compute runs as ONE dense GEMM per expert over gathered rows
-  // instead of hundreds of 1-row GEMMs (within a (chunk, source) segment
-  // rows alternate experts in token order). Row gather + row-partitioned
-  // GEMM leaves every row's arithmetic untouched: bitwise identical. ---
-  const int64_t f = w1[0].dim(1);
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-  int64_t* gather = WsInts("ep.chunk_gather", total_recv);
-  for (int c = 0; c < C; ++c) {
-    const int64_t chunk_begin = cache->recv_chunk_base[static_cast<size_t>(c)];
-    const int64_t chunk_end = cache->recv_chunk_base[static_cast<size_t>(c) + 1];
-    std::copy(cache->chunk_to_sorted.begin() + chunk_begin,
-              cache->chunk_to_sorted.begin() + chunk_end, gather + chunk_begin);
-    std::sort(gather + chunk_begin, gather + chunk_end);
-  }
-
   // --- Dispatch wire, expert compute, and combine wire on ONE exec graph,
   // run on the rank thread alone in the declared order
   //   wait[0], scatter[0], ffn_chunk[0], combine_pack[0], wait[1], ...
@@ -497,154 +526,58 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // async_comm.h holds exactly as in eager code. Within a chunk the send
   // order is (dst, token, slot), so each token's combine accumulation runs
   // in (owner rank asc, slot asc) order for every C.
+  const int64_t f = w1[0].dim(1);
   cache->ffn_in = Tensor::Uninit({total_recv, h});
-  cache->fc1_out = Tensor::Uninit({total_recv, f});
-  cache->fc3_out = Tensor::Uninit({total_recv, f});
-  cache->fc2_in = Tensor::Uninit({total_recv, f});
-  cache->fc2_out = Tensor::Uninit({total_recv, h});
+  cache->acts.fc1_out = Tensor::Uninit({total_recv, f});
+  cache->acts.fc3_out = Tensor::Uninit({total_recv, f});
+  cache->acts.fc2_in = Tensor::Uninit({total_recv, f});
+  cache->acts.fc2_out = Tensor::Uninit({total_recv, h});
   cache->returned_rows = Tensor::Uninit({total_send, h});
   Workspace& ws = ThreadWorkspace();
   float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
-  std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
+  Handles ret_handles(static_cast<size_t>(C));
   const bool fp8 = cache->fp8_wire;
   void* recv = DispatchRecvStaging(*cache, h, fp8);
-  std::vector<std::unique_ptr<CommHandle>> handles =
-      StartDispatchChunks(ctx, *cache, x_local, h, recv);
+  Handles handles = StartDispatchChunks(ctx, *cache, x_local, h, recv);
   {
     ExecGraph graph;
-    EpFfnCache* cache_p = cache;
-    std::vector<std::unique_ptr<CommHandle>>* ret_handles_p = &ret_handles;
+    Handles* ret_handles_p = &ret_handles;
+    const ExpertWeights experts = LocalExperts(ctx, e_local, w1, w3, w2);
     std::vector<int> pack_ids(static_cast<size_t>(C), -1);
-    int prev_dwait = -1;
-    int prev_s0 = -1;  // chains every compute op in declared order
+    ChunkChain chain;
     for (int c = 0; c < C; ++c) {
-      std::vector<int> wait_deps;
-      if (prev_dwait >= 0) {
-        wait_deps.push_back(prev_dwait);
-      }
-      CommHandle* handle = handles[static_cast<size_t>(c)].get();
-      const int dwait =
-          graph.AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/0,
-                        [handle] { return handle->WaitAll(); }, wait_deps);
-      std::vector<int> scatter_deps{dwait};
-      if (prev_s0 >= 0) {
-        scatter_deps.push_back(prev_s0);
-      }
-      const int scatter = graph.AddCompute(
-          "ep_scatter[" + std::to_string(c) + "]",
-          [cache_p, recv, c, h, fp8] {
-            return ScatterChunkRows(*cache_p, recv, c, h, fp8, &cache_p->ffn_in);
-          },
-          scatter_deps, "scatter");
+      AddScatterChunk(&graph, &chain, *cache, handles, recv, c, h, fp8, &cache->ffn_in);
       const int ffn = graph.AddCompute(
           "ep_ffn_chunk[" + std::to_string(c) + "]",
-          [cache_p, gather, c, e_local, w1_loc, w3_loc, w2_loc, h, f] {
-            const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const int64_t* gidx = gather + base;
-            Workspace& cws = ThreadWorkspace();
-            float* in_s = cws.Floats("ep.chunk.in", rows_c * h);
-            float* fc1_s = cws.Floats("ep.chunk.fc1", rows_c * f);
-            float* fc3_s = cws.Floats("ep.chunk.fc3", rows_c * f);
-            float* mid_s = cws.Floats("ep.chunk.mid", rows_c * f);
-            float* out_s = cws.Floats("ep.chunk.out", rows_c * h);
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                std::memcpy(in_s + r * h, cache_p->ffn_in.data() + gidx[r] * h,
-                            static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            const std::vector<int64_t>& off = cache_p->local_offsets;
-            for (int64_t e = 0; e < e_local; ++e) {
-              const int64_t lo =
-                  std::lower_bound(gidx, gidx + rows_c, off[static_cast<size_t>(e)]) -
-                  gidx;
-              const int64_t hi =
-                  std::lower_bound(gidx, gidx + rows_c,
-                                   off[static_cast<size_t>(e + 1)]) -
-                  gidx;
-              const int64_t m = hi - lo;
-              if (m == 0) {
-                continue;
-              }
-              GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                          w1_loc[e].data(), 0.0f, fc1_s + lo * f);
-              GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                          w3_loc[e].data(), 0.0f, fc3_s + lo * f);
-              float* gated = mid_s + lo * f;
-              const float* gate = fc1_s + lo * f;
-              const float* linear = fc3_s + lo * f;
-              for (int64_t i = 0; i < m * f; ++i) {
-                gated[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
-              }
-              GemmBlocked(false, false, m, h, f, 1.0f, gated, w2_loc[e].data(),
-                          0.0f, out_s + lo * h);
-            }
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                const int64_t g = gidx[r];
-                std::memcpy(cache_p->fc1_out.data() + g * f, fc1_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc3_out.data() + g * f, fc3_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc2_in.data() + g * f, mid_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc2_out.data() + g * h, out_s + r * h,
-                            static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            return Status::Ok();
-          },
-          {scatter}, "gemm");
+          [cache, c, experts] { return ExpertChunk(cache, c, experts); }, {chain.consume},
+          "gemm");
       // The expert outputs return straight into returned_rows.
-      const int pack = graph.AddCompute(
+      chain.consume = graph.AddCompute(
           "ep_combine_pack[" + std::to_string(c) + "]",
-          [cache_p, ret_handles_p, ctx, ret_stage, c, h] {
+          [cache, ret_handles_p, ctx, ret_stage, c, h] {
             (*ret_handles_p)[static_cast<size_t>(c)] =
-                StartReturnChunk(ctx, *cache_p, cache_p->fc2_out, ret_stage,
-                                 cache_p->returned_rows.data(), c, h);
+                StartReturnChunk(ctx, *cache, cache->acts.fc2_out, ret_stage,
+                                 cache->returned_rows.data(), c, h);
             return Status::Ok();
           },
           {ffn}, "pack");
-      pack_ids[static_cast<size_t>(c)] = pack;
-      prev_dwait = dwait;
-      prev_s0 = pack;
+      pack_ids[static_cast<size_t>(c)] = chain.consume;
     }
     const RoutingResult* routing_p = &routing;
     float* y = y_local.data();
-    int prev_cwait = prev_dwait;
-    int prev_acc = prev_s0;
     for (int c = 0; c < C; ++c) {
-      std::vector<int> cwait_deps{pack_ids[static_cast<size_t>(c)]};
-      if (prev_cwait >= 0) {
-        cwait_deps.push_back(prev_cwait);
-      }
-      const int cwait = graph.AddComm(
-          "ep_combine_wait[" + std::to_string(c) + "]", /*stream=*/0,
-          [ret_handles_p, c] {
-            return (*ret_handles_p)[static_cast<size_t>(c)]->WaitAll();
-          },
-          cwait_deps);
-      std::vector<int> acc_deps{cwait};
-      if (prev_acc >= 0) {
-        acc_deps.push_back(prev_acc);
-      }
-      const int acc = graph.AddCompute(
-          "ep_combine[" + std::to_string(c) + "]",
-          [cache_p, routing_p, y, c, h] {
-            const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
+      AddChunkWait(
+          &graph, &chain, &ret_handles, c, "ep_combine_wait", "ep_combine", "combine",
+          [cache, routing_p, y, c, h] {
+            const int64_t base = cache->send_chunk_base[static_cast<size_t>(c)];
             const int64_t rows_c =
-                cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
-            const float* buf = cache_p->returned_rows.data() + base * h;
+                cache->send_chunk_base[static_cast<size_t>(c) + 1] - base;
+            const float* buf = cache->returned_rows.data() + base * h;
             for (int64_t j = 0; j < rows_c; ++j) {
               const int64_t p = base + j;
-              const int64_t t = cache_p->send_token[static_cast<size_t>(p)];
+              const int64_t t = cache->send_token[static_cast<size_t>(p)];
               const float weight = routing_p->combine_weight.At(
-                  t, cache_p->send_slot[static_cast<size_t>(p)]);
+                  t, cache->send_slot[static_cast<size_t>(p)]);
               const float* row = buf + j * h;
               float* out = y + t * h;
               for (int64_t col = 0; col < h; ++col) {
@@ -653,9 +586,7 @@ Tensor ForwardA2A(const ShardContext& ctx, const ModelConfig& config,
             }
             return Status::Ok();
           },
-          acc_deps, "combine");
-      prev_cwait = cwait;
-      prev_acc = acc;
+          pack_ids[static_cast<size_t>(c)]);
     }
     const ExecResult result = graph.Execute(/*num_streams=*/1);
     handles.clear();
@@ -711,7 +642,7 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // copy, read off the combine-weight grads, ship chunk by chunk. ---
   float* ship = ws.Floats("ep.a2a.dispatch", std::max<int64_t>(total_send * h, 1));
   float* recv = static_cast<float*>(DispatchRecvStaging(cache, h, /*fp8=*/false));
-  std::vector<std::unique_ptr<CommHandle>> handles(static_cast<size_t>(C));
+  Handles handles(static_cast<size_t>(C));
   {
     std::vector<int64_t> send_counts;
     std::vector<int64_t> recv_counts;
@@ -745,7 +676,10 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
   Tensor dfc2_out = Tensor::Uninit({total_recv, h});
   {
     ExecGraph graph;
-    AddScatterChain(&graph, cache, handles, recv, h, /*fp8=*/false, &dfc2_out);
+    ChunkChain chain;
+    for (int c = 0; c < C; ++c) {
+      AddScatterChunk(&graph, &chain, cache, handles, recv, c, h, /*fp8=*/false, &dfc2_out);
+    }
     const ExecResult result = graph.Execute(/*num_streams=*/1);
     handles.clear();
     if (!result.status.ok()) {
@@ -753,53 +687,32 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
     }
   }
 
-  // --- Expert backward chain (span weights, load-balanced tile queue). ---
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets,
-                          w2.data() + ctx.rank * e_local, e_local);
-  grads.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets,
-                          w1.data() + ctx.rank * e_local, e_local);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets,
-                          w3.data() + ctx.rank * e_local, e_local);
-  grads.dw1 = std::move(fc1_grads.dweights);
-  grads.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
+  // --- Expert backward chain. ---
+  ExpertFfnGrads ffn_grads = ExpertFfnBackward(dfc2_out, cache.ffn_in, cache.acts,
+                                               cache.local_offsets,
+                                               LocalExperts(ctx, e_local, w1, w3, w2));
+  grads.dw1 = std::move(ffn_grads.dw1);
+  grads.dw3 = std::move(ffn_grads.dw3);
+  grads.dw2 = std::move(ffn_grads.dw2);
 
   // --- Return the input grads chunk by chunk, accumulating into dx_local
   // as chunks land (per token the order is again (owner asc, slot asc)).
   // Chunk c's rows land at its send rows. ---
   float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
   float* ret_recv = ws.Floats("ep.a2a.ret", std::max<int64_t>(total_send * h, 1));
-  std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
+  Handles ret_handles(static_cast<size_t>(C));
   for (int c = 0; c < C; ++c) {
     ret_handles[static_cast<size_t>(c)] =
-        StartReturnChunk(ctx, cache, dffn_in, ret_stage, ret_recv, c, h);
+        StartReturnChunk(ctx, cache, ffn_grads.dx, ret_stage, ret_recv, c, h);
   }
   {
     ExecGraph graph;
     const EpFfnCache* cache_p = &cache;
     float* dx = grads.dx_local.data();
-    int prev_wait = -1;
-    int prev_acc = -1;
+    ChunkChain chain;
     for (int c = 0; c < C; ++c) {
-      std::vector<int> wait_deps;
-      if (prev_wait >= 0) {
-        wait_deps.push_back(prev_wait);
-      }
-      CommHandle* handle = ret_handles[static_cast<size_t>(c)].get();
-      const int wait =
-          graph.AddComm("ep_dx_wait[" + std::to_string(c) + "]", /*stream=*/0,
-                        [handle] { return handle->WaitAll(); }, wait_deps);
-      std::vector<int> deps{wait};
-      if (prev_acc >= 0) {
-        deps.push_back(prev_acc);
-      }
-      const int acc = graph.AddCompute(
-          "ep_dx_acc[" + std::to_string(c) + "]",
+      AddChunkWait(
+          &graph, &chain, &ret_handles, c, "ep_dx_wait", "ep_dx_acc", "combine",
           [cache_p, ret_recv, dx, c, h] {
             const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
             const int64_t rows_c =
@@ -814,10 +727,7 @@ EpFfnGrads BackwardA2A(const ShardContext& ctx, const ModelConfig& config,
               }
             }
             return Status::Ok();
-          },
-          deps, "combine");
-      prev_wait = wait;
-      prev_acc = acc;
+          });
     }
     const ExecResult result = graph.Execute(/*num_streams=*/1);
     ret_handles.clear();
@@ -858,9 +768,6 @@ Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispat
   const int64_t h = config.hidden;
   const int64_t k = routing_local.top_k;
   const double start_us = ctx.comm->telemetry().NowUs();
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
   const int64_t t_total = t_local * n;
   cache->x_all = Tensor({t_total, h});
   ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
@@ -902,13 +809,8 @@ Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispat
   }
   const int64_t rows = static_cast<int64_t>(cache->copy_token.size());
   cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
-
-  ExpertBlock block = RunExperts(cache->ffn_in, cache->local_offsets, w1_loc, w3_loc,
-                                 w2_loc, e_local);
-  cache->fc1_out = std::move(block.fc1);
-  cache->fc3_out = std::move(block.fc3);
-  cache->fc2_in = std::move(block.fc2_in);
-  cache->fc2_out = std::move(block.fc2_out);
+  cache->acts = ExpertFfn(cache->ffn_in, cache->local_offsets,
+                          LocalExperts(ctx, e_local, w1, w3, w2));
 
   // Gather into a full tensor with combine weights applied, then
   // reduce-scatter so each rank ends with its own tokens fully combined.
@@ -916,7 +818,7 @@ Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispat
   for (int64_t i = 0; i < rows; ++i) {
     const int64_t t = cache->copy_token[static_cast<size_t>(i)];
     const float weight = cache->copy_weight[static_cast<size_t>(i)];
-    const float* row = cache->fc2_out.data() + i * h;
+    const float* row = cache->acts.fc2_out.data() + i * h;
     float* out = full_out.data() + t * h;
     for (int64_t c = 0; c < h; ++c) {
       out[c] += weight * row[c];
@@ -943,9 +845,6 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
   const int64_t h = config.hidden;
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing_local.top_k;
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
 
   EpFfnGrads grads;
   grads.dcombine_local = Tensor({t_local, k});
@@ -966,7 +865,7 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
     const int64_t slot = cache.copy_slot[static_cast<size_t>(i)];
     const float weight = cache.copy_weight[static_cast<size_t>(i)];
     const float* dy_row = dy_all.data() + t * h;
-    const float* fc2_row = cache.fc2_out.data() + i * h;
+    const float* fc2_row = cache.acts.fc2_out.data() + i * h;
     float dot = 0.0f;
     float* dfc2_row = dfc2_out.data() + i * h;
     for (int64_t c = 0; c < h; ++c) {
@@ -976,22 +875,15 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
     dcombine_all.At(t, slot) = dot;
   }
 
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets, w2_loc, e_local);
-  grads.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets, w1_loc,
-                          e_local);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets, w3_loc,
-                          e_local);
-  grads.dw1 = std::move(fc1_grads.dweights);
-  grads.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
+  ExpertFfnGrads ffn_grads = ExpertFfnBackward(dfc2_out, cache.ffn_in, cache.acts,
+                                               cache.local_offsets,
+                                               LocalExperts(ctx, e_local, w1, w3, w2));
+  grads.dw1 = std::move(ffn_grads.dw1);
+  grads.dw3 = std::move(ffn_grads.dw3);
+  grads.dw2 = std::move(ffn_grads.dw2);
 
   // Scatter input grads into the full tensor, reduce-scatter back to owners.
-  Tensor dx_all = ScatterAddRows(dffn_in, cache.copy_token, t_total);
+  Tensor dx_all = ScatterAddRows(ffn_grads.dx, cache.copy_token, t_total);
   grads.dx_local = Tensor({t_local, h});
   ctx.comm->ReduceScatter(ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h);
 
@@ -1018,11 +910,14 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
       // Replay the chunked dispatch (re-quantizing in FP8 mode — per-token
       // scales make the codes bitwise the forward's).
       void* recv = DispatchRecvStaging(*cache, h, cache->fp8_wire);
-      std::vector<std::unique_ptr<CommHandle>> handles =
-          StartDispatchChunks(ctx, *cache, x_local, h, recv);
+      Handles handles = StartDispatchChunks(ctx, *cache, x_local, h, recv);
       Tensor ffn_in = Tensor::Uninit({rows, h});
       ExecGraph graph;
-      AddScatterChain(&graph, *cache, handles, recv, h, cache->fp8_wire, &ffn_in);
+      ChunkChain chain;
+      for (int c = 0; c < cache->pipeline_chunks; ++c) {
+        AddScatterChunk(&graph, &chain, *cache, handles, recv, c, h, cache->fp8_wire,
+                        &ffn_in);
+      }
       ok = graph.Execute(/*num_streams=*/1).status.ok();
       handles.clear();
       if (ok) {
@@ -1033,8 +928,8 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
       if (cache->ffn_in.empty()) {
         cache->ffn_in = Tensor({rows, h});
       }
-      if (cache->fc2_in.empty()) {
-        cache->fc2_in = Tensor({rows, config.ffn_hidden});
+      if (cache->acts.fc2_in.empty()) {
+        cache->acts.fc2_in = Tensor({rows, config.ffn_hidden});
       }
       return;
     }
@@ -1045,8 +940,8 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
     }
     cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
   }
-  if (cache->fc2_in.empty()) {
-    cache->fc2_in = SwiGlu(cache->fc1_out, cache->fc3_out);
+  if (cache->acts.fc2_in.empty()) {
+    cache->acts.fc2_in = SwiGlu(cache->acts.fc1_out, cache->acts.fc3_out);
   }
 }
 

@@ -12,19 +12,22 @@
 //                      (Fig 6/7).
 //
 // Rank r owns experts [r*E/n, (r+1)*E/n); expert-weight gradients are
-// complete on the owner rank (no extra sync).
+// complete on the owner rank (no extra sync). Both modes are dispatchers
+// around one expert computation: ExpertFfn / ExpertFfnBackward
+// (src/model/grouped_gemm.h), the single-rank layer's chain.
 //
 // The kAllToAll path is a fused pipeline (the paper's §4.2 fused dispatch
 // kernels, Fig 7): a counting-sort permutation built in one O(T·k) pass
 // replaces per-token pack/sort loops, the wire runs as per-chunk
 // StartAllToAllV handles so packing/quantizing chunk i+1 overlaps the
-// transfer of chunk i in both directions, and each chunk's expert
-// FC1→SwiGLU→FC2 chain runs while the next chunk is on the wire. Every
-// chunk handle declares its counts from the one metadata all-to-all, so a
-// chunk costs one data rendezvous; its wait is recorded on stream 0 of the
-// ExecGraph, which runs on the rank thread alone (Execute(1)). An optional quantize-on-pack FP8 mode calls QuantizeInto per row
-// straight into the send staging (codes + per-token scale share one wire
-// payload) instead of running a separate quantization pre-pass.
+// transfer of chunk i in both directions, and each chunk's gathered rows
+// run the expert FFN while the next chunk is on the wire. Every chunk
+// handle declares its counts from the one metadata all-to-all, so a chunk
+// costs one data rendezvous; its wait is recorded on stream 0 of the
+// ExecGraph, which runs on the rank thread alone (Execute(1)). An optional
+// quantize-on-pack FP8 mode calls QuantizeInto per row straight into the
+// send staging (codes + per-token scale share one wire payload) instead of
+// running a separate quantization pre-pass.
 //
 // Numerics. Chunks partition the LOCAL token range in ascending order, so
 // the grouped row order (expert, source rank, token asc) and each token's
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "src/model/config.h"
+#include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
 #include "src/parallel/sp_attention.h"
 #include "src/tensor/tensor.h"
@@ -73,12 +77,9 @@ struct EpPipelineConfig {
 };
 
 struct EpFfnCache {
-  // Expert computation inputs/outputs, rows grouped by local expert.
-  Tensor ffn_in;    // [R, h]
-  Tensor fc1_out;   // [R, f]
-  Tensor fc3_out;   // [R, f]
-  Tensor fc2_in;    // [R, f]
-  Tensor fc2_out;   // [R, h]
+  // Expert FFN input and activations, rows grouped by local expert.
+  Tensor ffn_in;       // [R, h]
+  ExpertFfnActs acts;
   std::vector<int64_t> local_offsets;  // [E_local + 1] row ranges
 
   // kAllToAll bookkeeping. Send rows are enumerated chunk-major — (chunk,

@@ -28,9 +28,10 @@ int64_t ParallelMoeLayerCache::CacheBytes() const {
     total += TensorBytes(core.probs);
   }
   // EP FFN cache.
-  total += TensorBytes(ffn.ffn_in) + TensorBytes(ffn.fc1_out) + TensorBytes(ffn.fc3_out) +
-           TensorBytes(ffn.fc2_in) + TensorBytes(ffn.fc2_out) +
-           TensorBytes(ffn.returned_rows) + TensorBytes(ffn.x_all);
+  total += TensorBytes(ffn.ffn_in) + TensorBytes(ffn.acts.fc1_out) +
+           TensorBytes(ffn.acts.fc3_out) + TensorBytes(ffn.acts.fc2_in) +
+           TensorBytes(ffn.acts.fc2_out) + TensorBytes(ffn.returned_rows) +
+           TensorBytes(ffn.x_all);
   return total;
 }
 
@@ -103,7 +104,7 @@ Tensor ParallelMoeLayerForward(const ShardContext& ctx, const ModelConfig& confi
     cache->attn.ln_in_local = Tensor();
     cache->ln2_out = Tensor();
     cache->ffn.ffn_in = Tensor();
-    cache->ffn.fc2_in = Tensor();
+    cache->ffn.acts.fc2_in = Tensor();
     cache->ffn.x_all = Tensor();
   }
   return y;

@@ -98,10 +98,9 @@ Tensor TpFfnForward(const ShardContext& ctx, const ModelConfig& config,
   const std::vector<Tensor> w1_shard = ColShards(w1, ctx.rank, n);
   const std::vector<Tensor> w3_shard = ColShards(w3, ctx.rank, n);
   const std::vector<Tensor> w2_shard = RowShards(w2, ctx.rank, n);
-  cache->fc1_out = GroupedGemm(cache->ffn_in, cache->offsets, w1_shard);
-  cache->fc3_out = GroupedGemm(cache->ffn_in, cache->offsets, w3_shard);
-  cache->fc2_in = SwiGlu(cache->fc1_out, cache->fc3_out);
-  cache->fc2_out = GroupedGemm(cache->fc2_in, cache->offsets, w2_shard);
+  cache->acts = ExpertFfn(cache->ffn_in, cache->offsets,
+                          ExpertWeights{w1_shard.data(), w3_shard.data(), w2_shard.data(),
+                                        experts});
 
   // Weighted assembly of partial outputs + reduce-scatter.
   Tensor full_out({t_total, h});
@@ -109,7 +108,7 @@ Tensor TpFfnForward(const ShardContext& ctx, const ModelConfig& config,
   for (int64_t i = 0; i < rows; ++i) {
     const int64_t t = cache->copy_token[static_cast<size_t>(i)];
     const float weight = cache->copy_weight[static_cast<size_t>(i)];
-    const float* row = cache->fc2_out.data() + i * h;
+    const float* row = cache->acts.fc2_out.data() + i * h;
     float* out = full_out.data() + t * h;
     for (int64_t c = 0; c < h; ++c) {
       out[c] += weight * row[c];
@@ -144,7 +143,7 @@ TpFfnGrads TpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
     const int64_t slot = cache.copy_slot[static_cast<size_t>(i)];
     const float weight = cache.copy_weight[static_cast<size_t>(i)];
     const float* dy_row = dy_all.data() + t * h;
-    const float* fc2_row = cache.fc2_out.data() + i * h;
+    const float* fc2_row = cache.acts.fc2_out.data() + i * h;
     float* dfc2_row = dfc2_out.data() + i * h;
     float dot = 0.0f;
     for (int64_t c = 0; c < h; ++c) {
@@ -160,19 +159,16 @@ TpFfnGrads TpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
   const std::vector<Tensor> w1_shard = ColShards(w1, ctx.rank, n);
   const std::vector<Tensor> w3_shard = ColShards(w3, ctx.rank, n);
   const std::vector<Tensor> w2_shard = RowShards(w2, ctx.rank, n);
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.offsets, w2_shard);
-  grads.dw2_shard = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.offsets, w1_shard);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.offsets, w3_shard);
-  grads.dw1_shard = std::move(fc1_grads.dweights);
-  grads.dw3_shard = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);  // partial over f-shards
+  // dx is partial over the f-shards.
+  ExpertFfnGrads ffn_grads = ExpertFfnBackward(
+      dfc2_out, cache.ffn_in, cache.acts, cache.offsets,
+      ExpertWeights{w1_shard.data(), w3_shard.data(), w2_shard.data(),
+                    static_cast<int64_t>(w1_shard.size())});
+  grads.dw1_shard = std::move(ffn_grads.dw1);
+  grads.dw3_shard = std::move(ffn_grads.dw3);
+  grads.dw2_shard = std::move(ffn_grads.dw2);
 
-  Tensor dx_all = ScatterAddRows(dffn_in, cache.copy_token, t_total);
+  Tensor dx_all = ScatterAddRows(ffn_grads.dx, cache.copy_token, t_total);
   grads.dx_local = Tensor({t_local, h});
   ctx.comm->ReduceScatter(ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h);
 

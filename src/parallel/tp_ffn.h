@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/model/config.h"
+#include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
 #include "src/parallel/sp_attention.h"
 #include "src/tensor/tensor.h"
@@ -23,10 +24,7 @@ namespace msmoe {
 struct TpFfnCache {
   Tensor x_all;      // [t_total, h]
   Tensor ffn_in;     // rows grouped by expert (all experts) [R, h]
-  Tensor fc1_out;    // [R, f/n]
-  Tensor fc3_out;    // [R, f/n]
-  Tensor fc2_in;     // [R, f/n]
-  Tensor fc2_out;    // partial [R, h]
+  ExpertFfnActs acts;  // over the f/n shard; fc2_out is a partial [R, h]
   std::vector<int64_t> offsets;      // [E + 1]
   std::vector<int64_t> copy_token;   // per grouped row: global token
   std::vector<int64_t> copy_slot;

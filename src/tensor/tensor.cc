@@ -204,14 +204,6 @@ double Tensor::SumAbs() const {
   return total;
 }
 
-double Tensor::MaxAbs() const {
-  double max_abs = 0.0;
-  for (int64_t i = 0; i < numel_; ++i) {
-    max_abs = std::fmax(max_abs, std::fabs(static_cast<double>(data_[i])));
-  }
-  return max_abs;
-}
-
 double Tensor::RelativeL2Diff(const Tensor& other) const {
   MSMOE_CHECK(SameShape(*this, other));
   double diff_sq = 0.0;

@@ -120,7 +120,6 @@ class Tensor {
   Tensor SliceRows(int64_t row_begin, int64_t row_end) const;
 
   double SumAbs() const;
-  double MaxAbs() const;
   // Frobenius-norm relative difference vs other (same shape).
   double RelativeL2Diff(const Tensor& other) const;
 

@@ -172,14 +172,6 @@ inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 }  // namespace
 
-Tensor Silu(const Tensor& x) {
-  Tensor y = Tensor::Uninit(x.shape());
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    y[i] = x[i] * Sigmoid(x[i]);
-  }
-  return y;
-}
-
 Tensor SwiGlu(const Tensor& gate, const Tensor& linear) {
   MSMOE_CHECK(SameShape(gate, linear));
   Tensor y = Tensor::Uninit(gate.shape());

@@ -60,9 +60,8 @@ struct RmsNormGrads {
 RmsNormGrads RmsNormBackward(const Tensor& dy, const Tensor& x, const Tensor& gain,
                              const Tensor& inv_rms);
 
-// SiLU (x * sigmoid(x)) and the SwiGLU combination silu(gate) * linear
+// The SwiGLU combination silu(gate) * linear, silu(x) = x * sigmoid(x),
 // used by the expert FFN (FC1 -> gate, FC3 -> linear).
-Tensor Silu(const Tensor& x);
 Tensor SwiGlu(const Tensor& gate, const Tensor& linear);
 struct SwiGluGrads {
   Tensor dgate;

@@ -12,10 +12,10 @@
 #include "src/numerics/quantize.h"
 #include "src/parallel/dp_grad_sync.h"
 #include "src/parallel/ep_ffn.h"
-#include "src/parallel/fp8_comm.h"
 #include "src/parallel/sp_attention.h"
 #include "src/parallel/tp_attention.h"
 #include "src/parallel/tp_ffn.h"
+#include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/reference_ffn.h"
 
@@ -356,6 +356,40 @@ TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
   }
 }
 
+// Both dispatch modes run their expert GEMMs through the shared expert
+// FFN, so KernelStats sees the forward's expert FLOPs at every chunk count:
+// FC1, FC3 and FC2 cost 6·h·f per grouped row.
+TEST_F(FfnParallelTest, ForwardExpertFlopsReachKernelStats) {
+  const int n = 4;
+  const int64_t t_local = x_full_.dim(0) / n;
+  struct Cell {
+    EpDispatchMode mode;
+    int chunks;
+  };
+  for (const Cell cell : {Cell{EpDispatchMode::kAllToAll, 1}, Cell{EpDispatchMode::kAllToAll, 4},
+                          Cell{EpDispatchMode::kAllGatherScatter, 1}}) {
+    FlatCommunicator group(n);
+    std::vector<int64_t> rows(n, 0);
+    const KernelStatsSnapshot before = GetKernelStats();
+    RunOnRanks(n, [&](int rank) {
+      ShardContext ctx{&group, rank};
+      Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
+      RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
+      EpFfnCache cache;
+      EpFfnForward(ctx, config_, cell.mode, EpPipelineConfig{cell.chunks, false}, w1_, w3_,
+                   w2_, x_local, routing, &cache);
+      rows[static_cast<size_t>(rank)] = cache.local_offsets.back();
+    });
+    const double flops = GetKernelStats().grouped_gemm_flops - before.grouped_gemm_flops;
+    double expected = 0.0;
+    for (const int64_t r : rows) {
+      expected += 6.0 * static_cast<double>(config_.hidden * config_.ffn_hidden * r);
+    }
+    EXPECT_GT(expected, 0.0);
+    EXPECT_EQ(flops, expected) << EpDispatchModeName(cell.mode) << " C=" << cell.chunks;
+  }
+}
+
 TEST_F(FfnParallelTest, TpFfnMatchesSingleRank) {
   const int n = 2;
   const int64_t t_local = x_full_.dim(0) / n;
@@ -576,73 +610,6 @@ TEST(GradSyncTest, InPlaceBf16PackRoundTrip) {
   for (int64_t i = 0; i < count; ++i) {
     EXPECT_EQ(buffer[static_cast<size_t>(i)], expected[static_cast<size_t>(i)]) << i;
   }
-}
-
-TEST(Fp8CommTest, ReduceScatterMatchesFp32WithinQuantError) {
-  const int n = 4;
-  const int64_t shard_rows = 8;
-  const int64_t cols = 16;
-  FlatCommunicator fp8_group(n);
-  FlatCommunicator fp32_group(n);
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerToken;
-  std::vector<Tensor> fp8_out(n);
-  std::vector<std::vector<float>> fp32_out(n);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 31);
-    Tensor data = Tensor::Randn({n * shard_rows, cols}, rng);
-    fp8_out[static_cast<size_t>(rank)] =
-        Fp8ReduceScatter(fp8_group, rank, data, shard_rows, config);
-    std::vector<float> exact(static_cast<size_t>(shard_rows * cols));
-    fp32_group.ReduceScatter(rank, data.data(), exact.data(), shard_rows * cols);
-    fp32_out[static_cast<size_t>(rank)] = exact;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (int64_t i = 0; i < shard_rows * cols; ++i) {
-      // n contributions, each within amax/16 of exact.
-      EXPECT_NEAR(fp8_out[static_cast<size_t>(rank)][i],
-                  fp32_out[static_cast<size_t>(rank)][static_cast<size_t>(i)], 1.5f);
-    }
-  }
-}
-
-TEST(Fp8CommTest, AllGatherMatchesWithinQuantError) {
-  const int n = 3;
-  const int64_t rows = 4;
-  const int64_t cols = 8;
-  FlatCommunicator group(n);
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerChannelGrouped;
-  config.group_size = 2;
-  std::vector<Tensor> gathered(n);
-  std::vector<Tensor> locals(n);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 17);
-    locals[static_cast<size_t>(rank)] = Tensor::Randn({rows, cols}, rng);
-    gathered[static_cast<size_t>(rank)] =
-        Fp8AllGather(group, rank, locals[static_cast<size_t>(rank)], config);
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (int src = 0; src < n; ++src) {
-      for (int64_t i = 0; i < rows * cols; ++i) {
-        const float original = locals[static_cast<size_t>(src)][i];
-        const float received = gathered[static_cast<size_t>(rank)][src * rows * cols + i];
-        EXPECT_NEAR(received, original, std::fabs(original) / 8.0f + 1e-3f);
-      }
-    }
-  }
-}
-
-TEST(Fp8CommTest, WireBytesSmallerThanBf16) {
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerToken;
-  const int64_t rows = 8192;
-  const int64_t cols = 4096;
-  const int64_t fp8 = Fp8ReduceScatterWireBytes(rows, cols, config, 8);
-  const int64_t bf16 = Bf16ReduceScatterWireBytes(rows, cols, 8);
-  EXPECT_LT(fp8, bf16);
-  // Close to half (scales add ~0.02%).
-  EXPECT_NEAR(static_cast<double>(fp8) / static_cast<double>(bf16), 0.5, 0.01);
 }
 
 }  // namespace

@@ -34,11 +34,12 @@
 # steady state (bench_fig7_dispatch --check; it reports the paired C=1/C
 # speedup without gating on it). obs_test under TSan is the verdict on the
 # metrics registry's sharded recording (concurrent threads + retirement
-# folds), and the observability smoke fails if profiling the fused pipeline
-# costs more than 2% wall clock, if a disabled registry stops being free
-# (steady-state heap allocs or measurable drag), if instrumenting a training
-# run changes one bit of the loss, or if an injected slow rank goes
-# undetected (bench_observability --check).
+# folds), trainer_test under TSan runs TrainLm's rank threads through the
+# MoE layer's shared expert FFN, and the observability smoke fails if
+# profiling the fused pipeline costs more than 2% wall clock, if a disabled
+# registry stops being free (steady-state heap allocs or measurable drag),
+# if instrumenting a training run changes one bit of the loss, or if an
+# injected slow rank goes undetected (bench_observability --check).
 #
 #   $ tools/check.sh
 set -euo pipefail
@@ -50,11 +51,12 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
-echo "== TSan: tensor_test + comm_test + kernel_test + model_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test =="
+echo "== TSan: tensor_test + comm_test + kernel_test + model_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test + trainer_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target tensor_test comm_test kernel_test model_test \
   parallel_test telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
-  property_test macro_layer_test distributed_lm_test obs_test bench_fault_recovery >/dev/null
+  property_test macro_layer_test distributed_lm_test obs_test trainer_test \
+  bench_fault_recovery >/dev/null
 ./build-tsan/tests/tensor_test
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/kernel_test
@@ -69,6 +71,7 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test model_tes
 ./build-tsan/tests/macro_layer_test
 ./build-tsan/tests/distributed_lm_test
 ./build-tsan/tests/obs_test
+./build-tsan/tests/trainer_test
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
