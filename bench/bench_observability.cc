@@ -19,8 +19,10 @@
 //
 // Writes BENCH_obs.json. With --check, gates (the observability smoke
 // stage of tools/check.sh):
-//   (a) metrics-enabled fused-pipeline median within 2% of disabled (plus
-//       a 0.15ms absolute jitter floor so sub-10ms medians don't flake),
+//   (a) the median per-pair enabled/disabled ratio of the fused pipeline,
+//       over 120 interleaved single-run pairs alternating which side runs
+//       first, within 2% (plus a 0.15ms absolute jitter floor so sub-10ms
+//       runs don't flake),
 //   (b) instrumented loss curve bitwise equal to uninstrumented, with all
 //       three artifacts written,
 //   (c) slow rank flagged within five steps, attributed to the right rank,
@@ -53,12 +55,22 @@ namespace {
 // --- 1. Registry overhead on the fused fig15 pipeline -----------------------
 
 struct OverheadTiming {
-  double enabled_ms = 0.0;
-  double disabled_ms = 0.0;
+  double enabled_ms = 0.0;   // median enabled sample
+  double disabled_ms = 0.0;  // median disabled sample
   TimingStats enabled_stats;
   TimingStats disabled_stats;
-  double overhead_pct = 0.0;  // (enabled - disabled) / disabled * 100
+  double ratio = 0.0;         // median per-pair enabled / disabled
+  double ratio_p10 = 0.0;
+  double ratio_p90 = 0.0;
+  double overhead_pct = 0.0;  // (ratio - 1) * 100
 };
+
+// Single-run pairs: one pipeline run varies by ~5% on a shared host, and a
+// slow spell usually spans both runs of a pair. With this many pairs the
+// median ratio of two identical (disabled, disabled) sides stays within
+// +-1%, inside the 2% budget; 15 pairs, even of 8-run batches, read -6.6%
+// to +2.6% that way.
+constexpr int kOverheadPairs = 120;
 
 OverheadTiming TimeRegistryOverhead() {
   constexpr int kRanks = 4;
@@ -83,18 +95,48 @@ OverheadTiming TimeRegistryOverhead() {
     });
   };
 
+  // Paired timing: host noise drifts on a scale of seconds, so a
+  // back-to-back (disabled, enabled) pair sees nearly the same host and its
+  // ratio cancels most of it; alternating which side runs first cancels
+  // the order effect. The gate reads the median per-pair ratio.
   MetricsRegistry& registry = MetricsRegistry::Global();
-  OverheadTiming timing;
-  registry.set_enabled(false);
-  timing.disabled_stats = TimedStatsOfN(3, 15, run_fused);
-  timing.disabled_ms = timing.disabled_stats.median_s * 1e3;
+  const auto timed = [&](bool enabled) {
+    registry.set_enabled(enabled);
+    return TimedSeconds(run_fused);
+  };
+  for (int i = 0; i < 3; ++i) {
+    timed(false);
+    timed(true);
+  }
+  std::vector<double> disabled_s;
+  std::vector<double> enabled_s;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    double disabled = 0.0;
+    double enabled = 0.0;
+    if (pair % 2 == 0) {
+      disabled = timed(false);
+      enabled = timed(true);
+    } else {
+      enabled = timed(true);
+      disabled = timed(false);
+    }
+    disabled_s.push_back(disabled);
+    enabled_s.push_back(enabled);
+    ratios.push_back(enabled / disabled);
+  }
   registry.set_enabled(true);
-  timing.enabled_stats = TimedStatsOfN(3, 15, run_fused);
+
+  OverheadTiming timing;
+  timing.disabled_stats = SummarizeSeconds(std::move(disabled_s));
+  timing.disabled_ms = timing.disabled_stats.median_s * 1e3;
+  timing.enabled_stats = SummarizeSeconds(std::move(enabled_s));
   timing.enabled_ms = timing.enabled_stats.median_s * 1e3;
-  timing.overhead_pct =
-      timing.disabled_ms > 0.0
-          ? 100.0 * (timing.enabled_ms - timing.disabled_ms) / timing.disabled_ms
-          : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  timing.ratio = ratios[ratios.size() / 2];
+  timing.ratio_p10 = SortedPercentile(ratios, 0.10);
+  timing.ratio_p90 = SortedPercentile(ratios, 0.90);
+  timing.overhead_pct = 100.0 * (timing.ratio - 1.0);
   return timing;
 }
 
@@ -299,10 +341,12 @@ Report RunAll() {
 }
 
 void PrintReport(const Report& report) {
-  std::printf("fused fig15 pipeline: registry enabled %.3f ms vs disabled %.3f ms "
-              "(overhead %+.2f%%)\n",
+  std::printf("fused fig15 pipeline: registry enabled %.3f ms vs disabled %.3f ms; "
+              "median per-pair overhead %+.2f%% (p10 %+.2f%%, p90 %+.2f%%, %d "
+              "interleaved pairs)\n",
               report.overhead.enabled_ms, report.overhead.disabled_ms,
-              report.overhead.overhead_pct);
+              report.overhead.overhead_pct, 100.0 * (report.overhead.ratio_p10 - 1.0),
+              100.0 * (report.overhead.ratio_p90 - 1.0), kOverheadPairs);
   std::printf("instrumented dp=2 run: loss bitwise %s; artifacts jsonl=%s (%zu lines) "
               "trace=%s prom=%s\n",
               report.instrumented.bitwise ? "identical" : "DIVERGED",
@@ -340,7 +384,8 @@ void WriteJson(const Report& report) {
       json,
       "{\"bench\": \"observability\",\n"
       " \"overhead\": {\"enabled_ms\": %.4f, \"disabled_ms\": %.4f, "
-      "\"overhead_pct\": %.3f, %s},\n"
+      "\"overhead_pct\": %.3f, \"median_ratio\": %.4f, \"p10_ratio\": %.4f, "
+      "\"p90_ratio\": %.4f, \"pairs\": %d, %s},\n"
       " \"instrumented\": {\"loss_bitwise\": %s, \"jsonl_written\": %s, "
       "\"jsonl_lines\": %zu, \"trace_written\": %s, \"prom_written\": %s},\n"
       " \"anomaly\": {\"detected\": %s, \"fault_step\": %lld, "
@@ -349,7 +394,8 @@ void WriteJson(const Report& report) {
       " \"disabled_registry\": {\"steady_heap_allocs\": %llu, "
       "\"steady_acquires\": %llu}}\n",
       report.overhead.enabled_ms, report.overhead.disabled_ms,
-      report.overhead.overhead_pct, spread.c_str(),
+      report.overhead.overhead_pct, report.overhead.ratio, report.overhead.ratio_p10,
+      report.overhead.ratio_p90, kOverheadPairs, spread.c_str(),
       report.instrumented.bitwise ? "true" : "false",
       report.instrumented.jsonl_written ? "true" : "false",
       report.instrumented.jsonl_lines,
@@ -372,16 +418,18 @@ int CheckMode() {
   PrintReport(report);
   WriteJson(report);
   int failures = 0;
-  // 2% relative with a 0.15ms absolute floor: on a sub-10ms median, 2% is
-  // inside scheduler jitter, and the registry's real cost (a few dozen
-  // relaxed atomics per pipeline run) is far below both.
-  const double budget_ms =
-      std::max(1.02 * report.overhead.disabled_ms,
-               report.overhead.disabled_ms + 0.15);
-  if (report.overhead.enabled_ms > budget_ms) {
-    std::printf("\nOBS SMOKE FAILED: metrics-enabled fused pipeline %.3f ms exceeds "
-                "the 2%% overhead budget over disabled %.3f ms\n",
-                report.overhead.enabled_ms, report.overhead.disabled_ms);
+  // 2% relative with a 0.15ms absolute floor (relative to the median
+  // disabled run): on a sub-10ms run, 2% is inside scheduler jitter, and the
+  // registry's real cost (a few dozen relaxed atomics per pipeline run) is
+  // far below both.
+  const double budget_ratio =
+      std::max(1.02, 1.0 + 0.15 / std::max(report.overhead.disabled_ms, 1e-9));
+  if (report.overhead.ratio > budget_ratio) {
+    std::printf("\nOBS SMOKE FAILED: metrics-enabled fused pipeline costs %+.2f%% "
+                "(median per-pair ratio %.4f) over the %+.2f%% budget at disabled "
+                "%.3f ms\n",
+                report.overhead.overhead_pct, report.overhead.ratio,
+                100.0 * (budget_ratio - 1.0), report.overhead.disabled_ms);
     ++failures;
   }
   if (!report.instrumented.bitwise) {

@@ -69,6 +69,14 @@ bool InParallelWorker();
 void ParallelFor(int64_t n, int64_t grain,
                  const std::function<void(int64_t begin, int64_t end)>& fn);
 
+// Grain for a loop whose indices cost about `nanos_per_index` each: shards
+// of at least ~15 µs of work, a helper's wake-up cost, so splitting a short
+// loop never costs more than it saves.
+constexpr int64_t GrainForCost(double nanos_per_index) {
+  const auto grain = static_cast<int64_t>(15000.0 / nanos_per_index);
+  return grain > 1 ? grain : 1;
+}
+
 }  // namespace msmoe
 
 #endif  // MSMOE_SRC_BASE_PARALLEL_FOR_H_

@@ -314,13 +314,23 @@ Status CollectiveGroup::SyncPoint(int member, bool opens_read) {
           if (culprit < 0) {
             culprit = m;
           }
-          missing += (missing.empty() ? "" : ",") + std::to_string(m);
+          if (!missing.empty()) {
+            missing += ',';
+          }
+          missing += std::to_string(m);
         }
       }
-      abort_status_ = DeadlineExceeded(
-          "collective barrier timed out after " + std::to_string(timeout_ms_) +
-          " ms: a member never arrived" +
-          (missing.empty() ? "" : " (missing ranks: " + missing + ")"));
+      // Appends only: GCC 12 at -O3 warns (-Wrestrict, a false positive) on
+      // `"literal" + std::string` here.
+      std::string message = "collective barrier timed out after ";
+      message += std::to_string(timeout_ms_);
+      message += " ms: a member never arrived";
+      if (!missing.empty()) {
+        message += " (missing ranks: ";
+        message += missing;
+        message += ')';
+      }
+      abort_status_ = DeadlineExceeded(std::move(message));
       aborted_.store(true, std::memory_order_release);
       if (culprit_rank_ < 0) {
         culprit_rank_ = culprit;

@@ -10,6 +10,7 @@
 
 #include "src/base/arena.h"
 #include "src/base/logging.h"
+#include "src/base/parallel_for.h"
 #include "src/base/rng.h"
 #include "src/comm/communicator.h"
 #include "src/comm/elastic.h"
@@ -57,32 +58,79 @@ void MakeTrainingBatch(const ModelConfig& model, uint64_t seed, int64_t step, in
   }
 }
 
-void RoundParams(LmParams& params, TrainPrecision precision) {
+namespace {
+
+// Elements per shard of the step tail's copies and BF16 roundings
+// (~0.5 ns an element).
+constexpr int64_t kTailGrain = GrainForCost(0.5);
+
+// Calls piece(index, first, at, count) for every run of `count` elements of
+// tensors[index], starting at its element `first`, that lands at offset `at`
+// of the tensors' concatenation (ForEach order), with the concatenation split
+// into contiguous element ranges across the calling thread's team.
+template <typename TensorPtr, typename Piece>
+void SplitConcatenation(const std::vector<TensorPtr>& tensors, const Piece& piece) {
+  int64_t total = 0;
+  for (const Tensor* tensor : tensors) {
+    total += tensor->numel();
+  }
+  ParallelFor(total, kTailGrain, [&](int64_t begin, int64_t end) {
+    int64_t offset = 0;
+    for (size_t index = 0; index < tensors.size() && offset < end; ++index) {
+      const int64_t numel = tensors[index]->numel();
+      const int64_t lo = std::max(begin, offset);
+      const int64_t hi = std::min(end, offset + numel);
+      if (lo < hi) {
+        piece(index, lo - offset, lo, hi - lo);
+      }
+      offset += numel;
+    }
+  });
+}
+
+// Writes the `precision` compute copy of `master` into *compute, which has
+// the same layout or is `master` itself.
+void RoundParamsInto(const LmParams& master, TrainPrecision precision, LmParams* compute) {
+  const std::vector<const Tensor*> from = master.TensorListConst();
+  const std::vector<Tensor*> to = compute->TensorList();
+  MSMOE_CHECK_EQ(from.size(), to.size());
   switch (precision) {
     case TrainPrecision::kFp32:
+      // FP32 steps compute on the masters themselves: no copy to write.
+      MSMOE_CHECK(&master == compute);
       return;
     case TrainPrecision::kBf16:
-      params.ForEach([](const std::string&, Tensor& tensor) {
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-          tensor[i] = Bf16Round(tensor[i]);
+      SplitConcatenation(from, [&](size_t index, int64_t first, int64_t, int64_t count) {
+        const float* in = from[index]->data() + first;
+        float* out = to[index]->data() + first;
+        for (int64_t i = 0; i < count; ++i) {
+          out[i] = Bf16Round(in[i]);
         }
       });
       return;
     case TrainPrecision::kFp8:
       // Per-tensor amax-scaled E4M3 (the multi-precision optimizer of §7
       // stores FP8 compute copies; masters stay FP32 in Adam).
-      params.ForEach([](const std::string&, Tensor& tensor) {
+      for (size_t index = 0; index < from.size(); ++index) {
+        const Tensor& in = *from[index];
+        Tensor& out = *to[index];
         float amax = 0.0f;
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-          amax = std::max(amax, std::fabs(tensor[i]));
+        for (int64_t i = 0; i < in.numel(); ++i) {
+          amax = std::max(amax, std::fabs(in[i]));
         }
         const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-          tensor[i] = Fp8RoundE4M3(tensor[i] / scale) * scale;
+        for (int64_t i = 0; i < in.numel(); ++i) {
+          out[i] = Fp8RoundE4M3(in[i] / scale) * scale;
         }
-      });
+      }
       return;
   }
+}
+
+}  // namespace
+
+void RoundParams(LmParams& params, TrainPrecision precision) {
+  RoundParamsInto(params, precision, &params);
 }
 
 namespace {
@@ -111,23 +159,29 @@ void RoundFlatForWire(float* data, int64_t count, TrainPrecision precision) {
     case TrainPrecision::kFp32:
       return;
     case TrainPrecision::kBf16:
-      for (int64_t i = 0; i < count; ++i) {
-        data[i] = Bf16Round(data[i]);
-      }
+      ParallelFor(count, kTailGrain, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          data[i] = Bf16Round(data[i]);
+        }
+      });
       return;
     case TrainPrecision::kFp8: {
       constexpr int64_t kGroup = 128;
-      for (int64_t begin = 0; begin < count; begin += kGroup) {
-        const int64_t end = std::min(count, begin + kGroup);
-        float amax = 0.0f;
-        for (int64_t i = begin; i < end; ++i) {
-          amax = std::max(amax, std::fabs(data[i]));
+      ParallelFor((count + kGroup - 1) / kGroup, kTailGrain / kGroup,
+                  [&](int64_t group_begin, int64_t group_end) {
+        for (int64_t group = group_begin; group < group_end; ++group) {
+          const int64_t begin = group * kGroup;
+          const int64_t end = std::min(count, begin + kGroup);
+          float amax = 0.0f;
+          for (int64_t i = begin; i < end; ++i) {
+            amax = std::max(amax, std::fabs(data[i]));
+          }
+          const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
+          for (int64_t i = begin; i < end; ++i) {
+            data[i] = Fp8RoundE4M3(data[i] / scale) * scale;
+          }
         }
-        const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
-        for (int64_t i = begin; i < end; ++i) {
-          data[i] = Fp8RoundE4M3(data[i] / scale) * scale;
-        }
-      }
+      });
       return;
     }
   }
@@ -255,6 +309,12 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       }
     }
 
+    // The low-precision compute copy, rounded from the FP32 masters at the
+    // start of every step; FP32 runs compute on the masters themselves.
+    const bool round_compute = config.precision != TrainPrecision::kFp32;
+    LmParams compute_copy = round_compute ? params : LmParams();
+    const LmParams& compute = round_compute ? compute_copy : params;
+
     ActivationTransform activation_transform = nullptr;
     if (config.precision == TrainPrecision::kFp8) {
       activation_transform = RoundActivationsPerToken;
@@ -339,8 +399,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // ZeRO master shard).
       std::optional<MemoryScope> cast_scope;
       cast_scope.emplace("param_cast");
-      LmParams compute = params;
-      RoundParams(compute, config.precision);
+      if (round_compute) {
+        RoundParamsInto(params, config.precision, &compute_copy);
+      }
 
       // FP32 gradient accumulation over micro-batches (§5: the main grads
       // stay FP32 throughout; only the post-accumulation communication is
@@ -488,13 +549,13 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
 
       // Flatten the gradients (the overlap path above flattens per segment
       // as the layer callbacks fire instead).
-      size_t cursor = 0;
-      grads.ForEachConst([&](const std::string&, const Tensor& tensor) {
-        std::memcpy(flat.data() + cursor, tensor.data(),
-                    static_cast<size_t>(tensor.numel()) * sizeof(float));
-        cursor += static_cast<size_t>(tensor.numel());
+      const std::vector<const Tensor*> grad_tensors = grads.TensorListConst();
+      SplitConcatenation(grad_tensors,
+                         [&](size_t index, int64_t first, int64_t at, int64_t count) {
+        std::memcpy(flat.data() + at, grad_tensors[index]->data() + first,
+                    static_cast<size_t>(count) * sizeof(float));
       });
-      std::fill(flat.begin() + static_cast<int64_t>(cursor), flat.end(), 0.0f);
+      std::fill(flat.begin() + total_elems, flat.end(), 0.0f);
 
       if (config.zero_shard_optimizer) {
         // ZeRO-1: reduce this rank's gradient shard, update the master
@@ -508,9 +569,11 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           SyncGradShardInto(*comm_now, my, flat.data(), padded, config.grad_sync,
                             grad_shard);
         }
-        for (int64_t i = 0; i < shard; ++i) {
-          grad_shard[i] /= static_cast<float>(dp_now);
-        }
+        ParallelFor(shard, kTailGrain, [&](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            grad_shard[i] /= static_cast<float>(dp_now);
+          }
+        });
         {
           MemoryScope scope("optimizer");
           flat_adam.Step(grad_shard, master_shard.data());
@@ -520,11 +583,11 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         std::memcpy(wire, master_shard.data(), static_cast<size_t>(shard) * sizeof(float));
         RoundFlatForWire(wire, shard, config.param_gather_precision);
         comm_now->AllGather(my, wire, flat.data(), shard);
-        cursor = 0;
-        params.ForEach([&](const std::string&, Tensor& tensor) {
-          std::memcpy(tensor.data(), flat.data() + cursor,
-                      static_cast<size_t>(tensor.numel()) * sizeof(float));
-          cursor += static_cast<size_t>(tensor.numel());
+        const std::vector<Tensor*> param_list = params.TensorList();
+        SplitConcatenation(param_list,
+                           [&](size_t index, int64_t first, int64_t at, int64_t count) {
+          std::memcpy(param_list[index]->data() + first, flat.data() + at,
+                      static_cast<size_t>(count) * sizeof(float));
         });
       } else {
         {
@@ -532,11 +595,12 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           AllReduceGrads(*comm_now, my, flat.data(), padded, config.grad_sync);
         }
         MemoryScope scope("optimizer");
-        cursor = 0;
-        grads.ForEach([&](const std::string&, Tensor& tensor) {
-          float* d = tensor.data();
-          for (int64_t i = 0; i < tensor.numel(); ++i) {
-            d[i] = flat[cursor++] / static_cast<float>(dp_now);
+        const std::vector<Tensor*> grad_list = grads.TensorList();
+        SplitConcatenation(grad_list, [&](size_t index, int64_t first, int64_t at,
+                                          int64_t count) {
+          float* d = grad_list[index]->data() + first;
+          for (int64_t i = 0; i < count; ++i) {
+            d[i] = flat[static_cast<size_t>(at + i)] / static_cast<float>(dp_now);
           }
         });
         adam.Step(grads.TensorListConst());

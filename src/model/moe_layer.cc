@@ -186,8 +186,8 @@ MoeLayerGrads MoeLayerBackward(const MoeLayerParams& params, const ModelConfig& 
   const int64_t d = config.head_dim();
   const int64_t k_slots = router.top_k;
 
+  // Every dparams field is assigned below.
   MoeLayerGrads grads;
-  grads.dparams = MoeLayerParams::ZerosLike(config);
 
   // --- Combine backward: dout -> dfc2_out and dcombine_weight. ---
   // Both stay zero-initialized: dropped slots leave dcombine entries (and,

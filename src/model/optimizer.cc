@@ -3,18 +3,29 @@
 #include <cmath>
 
 #include "src/base/logging.h"
+#include "src/base/parallel_for.h"
 
 namespace msmoe {
 namespace {
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MSMOE_ADAM_X86 1
+#else
+#define MSMOE_ADAM_X86 0
+#endif
+
 // One loop per weight-decay setting keeps the body branch-free; with
 // -fno-math-errno on this file (src/model/CMakeLists.txt) std::sqrt needs no
 // errno side path, so GCC vectorizes it. Vector lanes round each IEEE double
-// op exactly as scalar code does, so vectorizing changes no bits.
+// op (and each float<->double cast) exactly as scalar code does, so the
+// vector width changes no bits. No build enables FMA here: with GCC's
+// default -ffp-contract=fast it would fuse the moment updates.
 template <bool kWeightDecay>
-void AdamUpdateLoop(const AdamConfig& config, double bias1, double bias2, double clip_scale,
-                    int64_t n, const float* __restrict grad, float* __restrict param,
-                    float* __restrict m, float* __restrict v) {
+[[gnu::always_inline]] inline void AdamUpdateLoop(const AdamConfig& config, double bias1,
+                                                  double bias2, double clip_scale, int64_t n,
+                                                  const float* __restrict grad,
+                                                  float* __restrict param,
+                                                  float* __restrict m, float* __restrict v) {
   const double beta1 = config.beta1;
   const double beta2 = config.beta2;
   const double eps = config.eps;
@@ -34,18 +45,63 @@ void AdamUpdateLoop(const AdamConfig& config, double bias1, double bias2, double
   }
 }
 
+using AdamLoopFn = void (*)(const AdamConfig&, double, double, double, int64_t, const float*,
+                            float*, float*, float*);
+
+// The baseline build (SSE2 on x86-64).
+template <bool kWeightDecay>
+void AdamUpdateBaseline(const AdamConfig& config, double bias1, double bias2,
+                        double clip_scale, int64_t n, const float* grad, float* param,
+                        float* m, float* v) {
+  AdamUpdateLoop<kWeightDecay>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
+}
+
+#if MSMOE_ADAM_X86
+// Four double lanes instead of two; the loop is bound by the divider.
+template <bool kWeightDecay>
+__attribute__((target("avx2"))) void AdamUpdateAvx2(const AdamConfig& config, double bias1,
+                                                    double bias2, double clip_scale,
+                                                    int64_t n, const float* grad,
+                                                    float* param, float* m, float* v) {
+  AdamUpdateLoop<kWeightDecay>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
+}
+#endif
+
+// [weight decay off, on], chosen once per process like the GEMM microkernel.
+struct AdamLoops {
+  AdamLoopFn loop[2];
+  bool avx2;
+};
+
+const AdamLoops& ChosenAdamLoops() {
+  static const AdamLoops loops = [] {
+#if MSMOE_ADAM_X86
+    if (__builtin_cpu_supports("avx2")) {
+      return AdamLoops{{&AdamUpdateAvx2<false>, &AdamUpdateAvx2<true>}, true};
+    }
+#endif
+    return AdamLoops{{&AdamUpdateBaseline<false>, &AdamUpdateBaseline<true>}, false};
+  }();
+  return loops;
+}
+
+// Elements per Adam shard: the update costs ~4 ns an element.
+constexpr int64_t kAdamGrain = GrainForCost(4.0);
+
 }  // namespace
 
 void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64_t n,
                 const float* grad, float* param, float* m, float* v) {
   const double bias1 = 1.0 - std::pow(config.beta1, static_cast<double>(step));
   const double bias2 = 1.0 - std::pow(config.beta2, static_cast<double>(step));
-  if (config.weight_decay > 0.0) {
-    AdamUpdateLoop<true>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
-  } else {
-    AdamUpdateLoop<false>(config, bias1, bias2, clip_scale, n, grad, param, m, v);
-  }
+  const AdamLoopFn loop = ChosenAdamLoops().loop[config.weight_decay > 0.0 ? 1 : 0];
+  ParallelFor(n, kAdamGrain, [&](int64_t begin, int64_t end) {
+    loop(config, bias1, bias2, clip_scale, end - begin, grad + begin, param + begin,
+         m + begin, v + begin);
+  });
 }
+
+bool AdamUpdateUsesAvx2() { return ChosenAdamLoops().avx2; }
 
 void AdamOptimizer::Register(Tensor* param) {
   MSMOE_CHECK(param != nullptr);

@@ -27,9 +27,14 @@ struct AdamConfig {
 // The per-element Adam(W) update behind AdamOptimizer and FlatAdam: advances
 // m, v and param over [0, n) by one step (`step` is 1-based) on
 // grad * clip_scale, in double precision per element. The four arrays must
-// not overlap. The loop vectorizes without changing any element's bits.
+// not overlap. The loop vectorizes (AVX2 where the CPU has it, chosen at run
+// time) and splits into element ranges across the calling thread's
+// ParallelFor team without changing any element's bits.
 void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64_t n,
                 const float* grad, float* param, float* m, float* v);
+
+// True when AdamUpdate runs its AVX2 build on this machine.
+bool AdamUpdateUsesAvx2();
 
 class AdamOptimizer {
  public:

@@ -4,9 +4,34 @@
 
 #include "src/base/arena.h"
 #include "src/base/logging.h"
+#include "src/base/parallel_for.h"
 #include "src/numerics/bf16.h"
 
 namespace msmoe {
+namespace {
+
+// Elements per shard of the BF16 cast and of the local sums (~1 ns each).
+constexpr int64_t kGrain = GrainForCost(1.0);
+
+// The one-time BF16 cast (split across the calling thread's team) and the
+// all-to-all of the BF16 shards. Returns the n received copies of this
+// rank's shard, source-major, staged in the rank thread's workspace (reused
+// every step).
+const float* ExchangeBf16Shards(Communicator& comm, int rank, const float* grads,
+                                int64_t count, int64_t shard) {
+  Workspace& ws = ThreadWorkspace();
+  float* wire = ws.Floats("gradsync.wire", count);
+  ParallelFor(count, kGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      wire[i] = Bf16Round(grads[i]);
+    }
+  });
+  float* recv = ws.Floats("gradsync.recv", count);
+  comm.AllToAll(rank, wire, recv, shard);
+  return recv;
+}
+
+}  // namespace
 
 const char* GradSyncModeName(GradSyncMode mode) {
   switch (mode) {
@@ -43,22 +68,18 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
     }
     case GradSyncMode::kBf16AllToAll: {
       // One-time cast to BF16, then each rank collects its shard from every
-      // peer and reduces LOCALLY in FP32 (Fig 10's design). The wire/recv
-      // staging lives in the rank thread's workspace (reused every step).
-      Workspace& ws = ThreadWorkspace();
-      float* wire = ws.Floats("gradsync.wire", count);
-      for (int64_t i = 0; i < count; ++i) {
-        wire[i] = Bf16Round(grads[i]);
-      }
-      float* recv = ws.Floats("gradsync.recv", count);
-      comm.AllToAll(rank, wire, recv, shard);
-      for (int64_t i = 0; i < shard; ++i) {
-        double sum = 0.0;  // FP32/FP64 accumulation of BF16 values
-        for (int src = 0; src < n; ++src) {
-          sum += static_cast<double>(recv[src * shard + i]);
+      // peer and reduces LOCALLY in FP32 (Fig 10's design). Each element
+      // sums its n contributions in source order, whatever the split.
+      const float* recv = ExchangeBf16Shards(comm, rank, grads, count, shard);
+      ParallelFor(shard, kGrain / n, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          double sum = 0.0;  // FP32/FP64 accumulation of BF16 values
+          for (int src = 0; src < n; ++src) {
+            sum += static_cast<double>(recv[src * shard + i]);
+          }
+          out[i] = static_cast<float>(sum);
         }
-        out[i] = static_cast<float>(sum);
-      }
+      });
       break;
     }
     case GradSyncMode::kBf16RingReduce: {
@@ -68,21 +89,17 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
       // the wire. The exchange below gathers every rank's BF16 contribution
       // for this rank's chunk, then replays exactly that sequential
       // rounded accumulation (ring order starting at rank+1).
-      Workspace& ws = ThreadWorkspace();
-      float* wire = ws.Floats("gradsync.wire", count);
-      for (int64_t i = 0; i < count; ++i) {
-        wire[i] = Bf16Round(grads[i]);
-      }
-      float* recv = ws.Floats("gradsync.recv", count);
-      comm.AllToAll(rank, wire, recv, shard);
-      for (int64_t i = 0; i < shard; ++i) {
-        float partial = recv[((rank + 1) % n) * shard + i];
-        for (int step = 2; step <= n; ++step) {
-          const int src = (rank + step) % n;
-          partial = Bf16Round(partial + recv[src * shard + i]);
+      const float* recv = ExchangeBf16Shards(comm, rank, grads, count, shard);
+      ParallelFor(shard, kGrain / n, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          float partial = recv[((rank + 1) % n) * shard + i];
+          for (int step = 2; step <= n; ++step) {
+            const int src = (rank + step) % n;
+            partial = Bf16Round(partial + recv[src * shard + i]);
+          }
+          out[i] = partial;
         }
-        out[i] = partial;
-      }
+      });
       break;
     }
   }

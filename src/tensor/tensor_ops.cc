@@ -4,10 +4,25 @@
 #include <chrono>
 #include <cmath>
 
+#include "src/base/arena.h"
 #include "src/base/logging.h"
+#include "src/base/parallel_for.h"
 #include "src/tensor/gemm_kernel.h"
 
 namespace msmoe {
+namespace {
+
+// Split sizes of the elementwise and row-local loops below (GrainForCost):
+// a loop that calls std::exp per element costs ~7 ns an element, plain
+// float arithmetic ~1 ns. Row loops shard whole rows.
+constexpr int64_t kExpGrain = GrainForCost(7.0);
+constexpr int64_t kArithGrain = GrainForCost(1.0);
+
+int64_t RowGrain(int64_t element_grain, int64_t cols) {
+  return std::max<int64_t>(1, element_grain / std::max<int64_t>(cols, 1));
+}
+
+}  // namespace
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
           const float* a, const float* b, float beta, float* c) {
@@ -72,23 +87,25 @@ Tensor Softmax(const Tensor& x) {
   const int64_t rows = x.dim(0);
   const int64_t cols = x.dim(1);
   Tensor y = Tensor::Uninit({rows, cols});
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* in = x.data() + r * cols;
-    float* out = y.data() + r * cols;
-    float max_value = in[0];
-    for (int64_t c = 1; c < cols; ++c) {
-      max_value = std::max(max_value, in[c]);
+  ParallelFor(rows, RowGrain(kExpGrain, cols), [&](int64_t row_begin, int64_t row_end) {
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      const float* in = x.data() + r * cols;
+      float* out = y.data() + r * cols;
+      float max_value = in[0];
+      for (int64_t c = 1; c < cols; ++c) {
+        max_value = std::max(max_value, in[c]);
+      }
+      double total = 0.0;
+      for (int64_t c = 0; c < cols; ++c) {
+        out[c] = std::exp(in[c] - max_value);
+        total += out[c];
+      }
+      const float inv_total = static_cast<float>(1.0 / total);
+      for (int64_t c = 0; c < cols; ++c) {
+        out[c] *= inv_total;
+      }
     }
-    double total = 0.0;
-    for (int64_t c = 0; c < cols; ++c) {
-      out[c] = std::exp(in[c] - max_value);
-      total += out[c];
-    }
-    const float inv_total = static_cast<float>(1.0 / total);
-    for (int64_t c = 0; c < cols; ++c) {
-      out[c] *= inv_total;
-    }
-  }
+  });
   return y;
 }
 
@@ -120,19 +137,21 @@ Tensor RmsNorm(const Tensor& x, const Tensor& gain, Tensor* inv_rms_out) {
   constexpr double kEps = 1e-6;
   Tensor y = Tensor::Uninit({rows, cols});
   Tensor inv_rms = Tensor::Uninit({rows});
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* in = x.data() + r * cols;
-    double sum_sq = 0.0;
-    for (int64_t c = 0; c < cols; ++c) {
-      sum_sq += static_cast<double>(in[c]) * in[c];
+  ParallelFor(rows, RowGrain(kArithGrain, cols), [&](int64_t row_begin, int64_t row_end) {
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      const float* in = x.data() + r * cols;
+      double sum_sq = 0.0;
+      for (int64_t c = 0; c < cols; ++c) {
+        sum_sq += static_cast<double>(in[c]) * in[c];
+      }
+      const float scale = static_cast<float>(1.0 / std::sqrt(sum_sq / cols + kEps));
+      inv_rms[r] = scale;
+      float* out = y.data() + r * cols;
+      for (int64_t c = 0; c < cols; ++c) {
+        out[c] = in[c] * scale * gain[c];
+      }
     }
-    const float scale = static_cast<float>(1.0 / std::sqrt(sum_sq / cols + kEps));
-    inv_rms[r] = scale;
-    float* out = y.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      out[c] = in[c] * scale * gain[c];
-    }
-  }
+  });
   if (inv_rms_out != nullptr) {
     *inv_rms_out = std::move(inv_rms);
   }
@@ -175,9 +194,14 @@ inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 Tensor SwiGlu(const Tensor& gate, const Tensor& linear) {
   MSMOE_CHECK(SameShape(gate, linear));
   Tensor y = Tensor::Uninit(gate.shape());
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    y[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
-  }
+  const float* g = gate.data();
+  const float* l = linear.data();
+  float* out = y.data();
+  ParallelFor(y.numel(), kExpGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      out[i] = g[i] * Sigmoid(g[i]) * l[i];
+    }
+  });
   return y;
 }
 
@@ -187,41 +211,80 @@ SwiGluGrads SwiGluBackward(const Tensor& dy, const Tensor& gate, const Tensor& l
   SwiGluGrads grads;
   grads.dgate = Tensor::Uninit(gate.shape());
   grads.dlinear = Tensor::Uninit(linear.shape());
-  for (int64_t i = 0; i < dy.numel(); ++i) {
-    const float sig = Sigmoid(gate[i]);
-    const float silu = gate[i] * sig;
-    // d(silu)/dgate = sig * (1 + gate * (1 - sig))
-    const float dsilu = sig * (1.0f + gate[i] * (1.0f - sig));
-    grads.dgate[i] = dy[i] * linear[i] * dsilu;
-    grads.dlinear[i] = dy[i] * silu;
-  }
+  const float* dy_data = dy.data();
+  const float* g = gate.data();
+  const float* l = linear.data();
+  float* dgate = grads.dgate.data();
+  float* dlinear = grads.dlinear.data();
+  ParallelFor(dy.numel(), kExpGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const float sig = Sigmoid(g[i]);
+      const float silu = g[i] * sig;
+      // d(silu)/dgate = sig * (1 + gate * (1 - sig))
+      const float dsilu = sig * (1.0f + g[i] * (1.0f - sig));
+      dgate[i] = dy_data[i] * l[i] * dsilu;
+      dlinear[i] = dy_data[i] * silu;
+    }
+  });
   return grads;
 }
 
 namespace {
 
+// Rotates each (token, head) vector's pairs (d, d + half) by the angle
+// position * theta_base^(-2d / head_dim). The cos/sin of every angle are
+// computed once per call into the calling thread's Workspace: one table row
+// per distinct position when the positions span at most `tokens` values
+// (every caller: [0, seq_len), repeated across a batch), else one row per
+// token, so the table never outgrows the token count. Each entry is the
+// double expression a per-element loop would evaluate, so no bit changes.
 void RopeApply(Tensor& x, const std::vector<int64_t>& positions, int64_t heads,
                int64_t head_dim, double theta_base, bool inverse) {
   MSMOE_CHECK_EQ(head_dim % 2, 0);
   const int64_t tokens = static_cast<int64_t>(positions.size());
   MSMOE_CHECK_EQ(x.numel(), tokens * heads * head_dim);
+  if (tokens == 0) {
+    return;
+  }
   const int64_t half = head_dim / 2;
+  const auto [min_it, max_it] = std::minmax_element(positions.begin(), positions.end());
+  const int64_t first = *min_it;
+  // Unsigned: the span of two int64 positions always fits.
+  const bool dense = static_cast<uint64_t>(*max_it) - static_cast<uint64_t>(first) <
+                     static_cast<uint64_t>(tokens);
+  const int64_t rows = dense ? *max_it - first + 1 : tokens;
+
+  Workspace& ws = ThreadWorkspace();
+  double* freq = ws.Doubles("rope.freq", half);
+  float* cos_table = ws.Floats("rope.cos", rows * half);
+  float* sin_table = ws.Floats("rope.sin", rows * half);
+  for (int64_t d = 0; d < half; ++d) {
+    freq[d] = std::pow(theta_base, -2.0 * static_cast<double>(d) / head_dim);
+  }
+  for (int64_t row = 0; row < rows; ++row) {
+    const double pos =
+        static_cast<double>(dense ? first + row : positions[static_cast<size_t>(row)]);
+    for (int64_t d = 0; d < half; ++d) {
+      double angle = pos * freq[d];
+      if (inverse) {
+        angle = -angle;
+      }
+      cos_table[row * half + d] = static_cast<float>(std::cos(angle));
+      sin_table[row * half + d] = static_cast<float>(std::sin(angle));
+    }
+  }
+
   for (int64_t t = 0; t < tokens; ++t) {
-    const double pos = static_cast<double>(positions[static_cast<size_t>(t)]);
+    const int64_t row = dense ? positions[static_cast<size_t>(t)] - first : t;
+    const float* cos_row = cos_table + row * half;
+    const float* sin_row = sin_table + row * half;
     for (int64_t h = 0; h < heads; ++h) {
       float* vec = x.data() + (t * heads + h) * head_dim;
       for (int64_t d = 0; d < half; ++d) {
-        const double freq = std::pow(theta_base, -2.0 * static_cast<double>(d) / head_dim);
-        double angle = pos * freq;
-        if (inverse) {
-          angle = -angle;
-        }
-        const float cos_a = static_cast<float>(std::cos(angle));
-        const float sin_a = static_cast<float>(std::sin(angle));
         const float a = vec[d];
         const float b = vec[d + half];
-        vec[d] = a * cos_a - b * sin_a;
-        vec[d + half] = a * sin_a + b * cos_a;
+        vec[d] = a * cos_row[d] - b * sin_row[d];
+        vec[d + half] = a * sin_row[d] + b * cos_row[d];
       }
     }
   }

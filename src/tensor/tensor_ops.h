@@ -42,6 +42,12 @@ struct MatMulGrads {
 MatMulGrads MatMulBackward(const Tensor& dc, const Tensor& a, const Tensor& b);
 
 // --- Elementwise / rows ----------------------------------------------------
+//
+// Softmax, RmsNorm, SwiGlu and SwiGluBackward split their rows or elements
+// across the calling thread's ParallelFor team (src/base/parallel_for.h).
+// Each element's arithmetic and each row's sums keep their serial order, so
+// the outputs are bitwise identical at any worker count. Sums across rows
+// (RmsNormBackward's dgain, CrossEntropy's loss) stay serial.
 
 Tensor Add(const Tensor& a, const Tensor& b);
 

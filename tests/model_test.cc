@@ -19,6 +19,7 @@
 #include "src/model/router.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/reference_attention.h"
+#include "tests/worker_widths.h"
 
 namespace msmoe {
 namespace {
@@ -724,6 +725,10 @@ double ClipScale(const AdamConfig& config, const std::vector<const Tensor*>& gra
 }
 
 TEST(OptimizerTest, SharedUpdateBitwiseEqualsScalarLoop) {
+#if defined(__x86_64__)
+  // The oracle comparison below is then a check of the AVX2 build.
+  EXPECT_EQ(AdamUpdateUsesAvx2(), static_cast<bool>(__builtin_cpu_supports("avx2")));
+#endif
   const std::vector<int64_t> sizes = {1000, 37, 4099};  // odd tails on every vector width
   for (double clip : {0.0, 1.0}) {
     for (double decay : {0.0, 0.01}) {
@@ -804,6 +809,42 @@ TEST(OptimizerTest, SharedUpdateBitwiseEqualsScalarLoop) {
                             flat_state.size() * sizeof(float)),
                 0)
           << where;
+    }
+  }
+}
+
+TEST(OptimizerTest, UpdateBitwiseAcrossWorkerCounts) {
+  const int64_t n = 40009;  // several Adam shards at width 3, odd tail
+  Rng rng(22);
+  const Tensor init = Tensor::Randn({n}, rng);
+  std::vector<Tensor> grads;
+  for (int step = 0; step < 3; ++step) {
+    grads.push_back(Tensor::Randn({n}, rng));
+  }
+  for (double clip : {0.0, 1.0}) {  // 1.0 clips: the gradient norm is ~200
+    for (double decay : {0.0, 0.01}) {
+      AdamConfig config;
+      config.lr = 3e-3;
+      config.grad_clip_norm = clip;
+      config.weight_decay = decay;
+      SCOPED_TRACE("clip=" + std::to_string(clip) + " decay=" + std::to_string(decay));
+      ExpectSameBitsAtWidths([&] {
+        Tensor param = init;
+        AdamOptimizer adam(config);
+        adam.Register(&param);
+        std::vector<float> master(init.data(), init.data() + n);
+        FlatAdam flat(config, n);
+        for (const Tensor& grad : grads) {
+          adam.Step({&grad});
+          flat.Step(grad.data(), master.data());
+        }
+        std::vector<float> out = Concat({&param});
+        out.insert(out.end(), master.begin(), master.end());
+        for (const std::vector<float>& state : {adam.SaveState(), flat.SaveState()}) {
+          out.insert(out.end(), state.begin(), state.end());
+        }
+        return out;
+      });
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/reference_ffn.h"
+#include "tests/worker_widths.h"
 
 namespace msmoe {
 namespace {
@@ -530,6 +531,32 @@ TEST(GradSyncTest, Bf16AllToAllCloseToFp32) {
       // One rounding per contribution: error <= n * 2^-8 * max|g|.
       EXPECT_NEAR(bf16_out[rank][i], fp32_out[rank][i], 0.1f) << rank << " " << i;
     }
+  }
+}
+
+TEST(GradSyncTest, Bf16ModesBitwiseAcrossWorkerCounts) {
+  const int n = 3;
+  const int64_t count = n * 50001;  // several cast and sum shards at width 3
+  for (GradSyncMode mode : {GradSyncMode::kBf16AllToAll, GradSyncMode::kBf16RingReduce}) {
+    SCOPED_TRACE(GradSyncModeName(mode));
+    ExpectSameBitsAtWidths([&] {
+      FlatCommunicator group(n);
+      std::vector<std::vector<float>> shards(n, std::vector<float>(count / n));
+      RunOnRanks(n, [&](int rank) {
+        Rng rng(static_cast<uint64_t>(rank) + 41);
+        std::vector<float> grads(static_cast<size_t>(count));
+        for (auto& g : grads) {
+          g = static_cast<float>(rng.NextGaussian());
+        }
+        SyncGradShardInto(group, rank, grads.data(), count, mode,
+                          shards[static_cast<size_t>(rank)].data());
+      });
+      std::vector<float> out;
+      for (const std::vector<float>& shard : shards) {
+        out.insert(out.end(), shard.begin(), shard.end());
+      }
+      return out;
+    });
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,6 +11,8 @@
 #include "src/base/rng.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/reference_rope.h"
+#include "tests/worker_widths.h"
 
 namespace msmoe {
 namespace {
@@ -278,6 +282,87 @@ TEST(RopeTest, BackwardInvertsForward) {
   RopeInPlace(x, positions, 2, 8);
   RopeBackwardInPlace(x, positions, 2, 8);
   EXPECT_LT(x.RelativeL2Diff(original), 1e-5);
+}
+
+TEST(RopeTest, AngleTableBitwiseEqualsPerElementLoop) {
+  std::vector<int64_t> batch_of_three;  // [0, 8) once per sequence
+  for (int64_t b = 0; b < 3; ++b) {
+    for (int64_t p = 0; p < 8; ++p) {
+      batch_of_three.push_back(p);
+    }
+  }
+  std::vector<int64_t> offset_range;
+  for (int64_t p = 100; p < 116; ++p) {
+    offset_range.push_back(p);
+  }
+  const std::vector<std::vector<int64_t>> position_sets = {
+      batch_of_three,
+      offset_range,
+      {9, 2, 31, 2, 17, 0, 5},    // unsorted, one repeat
+      {3, 1000000, 42, 7, 42},    // spans more values than tokens
+  };
+  Rng rng(31);
+  for (const std::vector<int64_t>& positions : position_sets) {
+    const auto tokens = static_cast<int64_t>(positions.size());
+    for (int64_t heads : {1, 2, 8}) {
+      for (int64_t head_dim : {2, 8, 64}) {
+        for (bool inverse : {false, true}) {
+          Tensor x = Tensor::Randn({tokens, heads, head_dim}, rng);
+          Tensor want = x;
+          ReferenceRope(want, positions, heads, head_dim, inverse);
+          if (inverse) {
+            RopeBackwardInPlace(x, positions, heads, head_dim);
+          } else {
+            RopeInPlace(x, positions, heads, head_dim);
+          }
+          EXPECT_EQ(std::memcmp(x.data(), want.data(),
+                                static_cast<size_t>(x.numel()) * sizeof(float)),
+                    0)
+              << "tokens=" << tokens << " first=" << positions[0] << " heads=" << heads
+              << " head_dim=" << head_dim << " inverse=" << inverse;
+        }
+      }
+    }
+  }
+}
+
+// Sizes below are several times each loop's split grain, so widths 2 and 3
+// really split them.
+TEST(SplitLoopTest, ElementwiseAndRowOpsBitwiseAcrossWorkerCounts) {
+  Rng rng(32);
+  const Tensor gate = Tensor::Randn({577, 64}, rng);
+  const Tensor linear = Tensor::Randn({577, 64}, rng);
+  const Tensor dy = Tensor::Randn({577, 64}, rng);
+  ExpectSameBitsAtWidths([&] {
+    const Tensor y = SwiGlu(gate, linear);
+    const SwiGluGrads grads = SwiGluBackward(dy, gate, linear);
+    return Concat({&y, &grads.dgate, &grads.dlinear});
+  });
+
+  const Tensor logits = Tensor::Randn({203, 256}, rng);
+  std::vector<int64_t> targets;
+  for (int64_t r = 0; r < logits.dim(0); ++r) {
+    targets.push_back((r * 37) % logits.dim(1));
+  }
+  ExpectSameBitsAtWidths([&] {
+    const Tensor probs = Softmax(logits);
+    const CrossEntropyResult ce = CrossEntropy(logits, targets);
+    std::vector<float> out = Concat({&probs, &ce.dlogits});
+    float loss_bits[2];
+    std::memcpy(loss_bits, &ce.mean_loss, sizeof(loss_bits));
+    out.insert(out.end(), loss_bits, loss_bits + 2);
+    return out;
+  });
+
+  const Tensor x = Tensor::Randn({2411, 64}, rng);
+  const Tensor gain = Tensor::Randn({64}, rng);
+  const Tensor dnorm = Tensor::Randn({2411, 64}, rng);
+  ExpectSameBitsAtWidths([&] {
+    Tensor inv_rms;
+    const Tensor y = RmsNorm(x, gain, &inv_rms);
+    const RmsNormGrads grads = RmsNormBackward(dnorm, x, gain, inv_rms);
+    return Concat({&y, &inv_rms, &grads.dx, &grads.dgain});
+  });
 }
 
 TEST(GatherScatterTest, GatherRows) {

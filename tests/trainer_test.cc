@@ -9,6 +9,7 @@
 #include "src/core/trainer.h"
 #include "src/model/checkpoint.h"
 #include "src/model/flat_adam.h"
+#include "tests/worker_widths.h"
 
 namespace msmoe {
 namespace {
@@ -107,6 +108,38 @@ TEST(ZeroShardingTest, Fp8ParamGatherTracksFp32) {
   for (size_t i = 0; i < a.loss.size(); ++i) {
     EXPECT_NEAR(a.loss[i], b.loss[i], std::max(0.35, a.loss[i] * 0.12)) << i;
   }
+}
+
+TEST(ZeroShardingTest, LossCurveBitwiseAcrossWorkerCounts) {
+  // The step benchmark's zero_dp step (stepbench/step_bench.cc): its model,
+  // BF16 compute copy, BF16 all-to-all gradient sync and BF16 parameter
+  // all-gather, so the loops split across each rank's team run at their
+  // real sizes. Then the same step with an FP8 parameter all-gather, and
+  // with the replicated optimizer.
+  NumericTrainConfig config;
+  config.model = TinyMoeConfig(8, 2);
+  config.model.num_layers = 2;
+  config.model.hidden = 64;
+  config.model.num_heads = 8;
+  config.model.gqa_ratio = 2;
+  config.model.ffn_hidden = 128;
+  config.model.vocab = 256;
+  config.model.seq_len = 64;
+  config.router.num_experts = 8;
+  config.router.top_k = 2;
+  config.adam.lr = 4e-3;
+  config.dp_size = 2;
+  config.batch_per_rank = 4;
+  config.steps = 5;
+  config.precision = TrainPrecision::kBf16;
+  config.grad_sync = GradSyncMode::kBf16AllToAll;
+  config.zero_shard_optimizer = true;
+  config.param_gather_precision = TrainPrecision::kBf16;
+  ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
+  config.param_gather_precision = TrainPrecision::kFp8;
+  ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
+  config.zero_shard_optimizer = false;
+  ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
 }
 
 TEST(ZeroShardingTest, RestartsStillSeamless) {

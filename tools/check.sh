@@ -6,7 +6,9 @@
 # buffers, so comm_test / kernel_test / parallel_test / telemetry_test /
 # fault_test / elastic_test / fused_ops_test / exec_graph_test / property_test
 # / model_test under TSan are the races-or-not verdict for the whole substrate
-# (kernel_test covers concurrent callers' ParallelFor teams; model_test
+# (kernel_test covers concurrent callers' ParallelFor teams; tensor_test,
+# model_test, parallel_test and trainer_test run the elementwise, Adam,
+# grad-sync and step-tail loops split across each rank's team; model_test
 # fans the attention backward out across KV-head shards, each on private
 # Workspace scratch under nested GEMMs; fused_ops_test hammers the chunked
 # async pipelines; exec_graph_test hammers the runtime task-graph executor
@@ -20,7 +22,8 @@
 # buffer-corruption paths, and parallel_test /
 # property_test / macro_layer_test / distributed_lm_test under ASan cover
 # the Workspace-staged dispatch packing and receive staging;
-# the perf smoke fails if the blocked GEMM kernel ever regresses
+# the Release stage fails if compiling the src libraries prints any
+# warning, the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
 # scheduler smoke fails if a searched schedule replayed on the real
@@ -36,7 +39,8 @@
 # metrics registry's sharded recording (concurrent threads + retirement
 # folds), trainer_test under TSan runs TrainLm's rank threads through the
 # MoE layer's shared expert FFN, and the observability smoke fails if
-# profiling the fused pipeline costs more than 2% wall clock, if a disabled
+# profiling the fused pipeline costs more than 2% wall clock (median
+# ratio of interleaved enabled/disabled pairs), if a disabled
 # registry stops being free (steady-state heap allocs or measurable drag),
 # if instrumenting a training run changes one bit of the loss, or if an
 # injected slow rank goes undetected (bench_observability --check).
@@ -93,8 +97,21 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/obs_test
 
 echo
-echo "== perf smoke: Release blocked GEMM >= naive (bench_micro_kernels --check) =="
+echo "== Release build of src: no compiler warnings =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+# --clean-first recompiles every src file, so no warning hides in an
+# up-to-date object file.
+cmake --build build-release -j --clean-first --target msmoe_base msmoe_numerics \
+  msmoe_obs_metrics msmoe_obs msmoe_tensor msmoe_hw msmoe_sim msmoe_comm msmoe_exec \
+  msmoe_model msmoe_parallel msmoe_core >build-release/src-build.log 2>&1
+if grep -q "warning:" build-release/src-build.log; then
+  grep -A4 "warning:" build-release/src-build.log
+  echo "Release build of src printed compiler warnings (build-release/src-build.log)"
+  exit 1
+fi
+
+echo
+echo "== perf smoke: Release blocked GEMM >= naive (bench_micro_kernels --check) =="
 cmake --build build-release -j --target bench_micro_kernels \
   bench_fig15_intra_overlap bench_ablation_scheduler >/dev/null
 (cd build-release/bench && ./bench_micro_kernels --check)
