@@ -13,8 +13,9 @@
 //      SetArenaPoolingEnabled(false) to reproduce the pre-pool baseline in
 //      the same binary.
 //   2. Bitwise identity — the loss curves of pooled and unpooled runs (both
-//      the replicated BF16 path and the ZeRO-1 FP8 path) must be bitwise
-//      identical: recycled uninitialized blocks may never leak into results.
+//      the BF16 run with FP32 wires and the FP8 run with BF16 wires) must be
+//      bitwise identical: recycled uninitialized blocks may never leak into
+//      results.
 //   3. Fused-pipeline wall clock — the Fig 15 measured configuration
 //      (4 thread-ranks, fused all-gather + GEMM) timed pooled vs unpooled.
 //
@@ -24,7 +25,7 @@
 // With --check, gates (the Release-mode memory smoke stage of
 // tools/check.sh):
 //   (a) steady-state heap allocs == 0 on the deterministic dp=1 run,
-//   (b) pooled loss curves bitwise equal to unpooled on both train paths,
+//   (b) pooled loss curves bitwise equal to unpooled on both configs,
 //   (c) pooled fused-pipeline median no slower than 1.10x unpooled.
 #include <cstdio>
 #include <cstring>
@@ -61,18 +62,19 @@ NumericTrainConfig BaseConfig(int dp) {
   return config;
 }
 
-NumericTrainConfig ReplicatedConfig(int dp) {
+// BF16 compute with FP32 gradient and parameter wires.
+NumericTrainConfig Fp32WireConfig(int dp) {
   NumericTrainConfig config = BaseConfig(dp);
   config.precision = TrainPrecision::kBf16;
   config.grad_sync = GradSyncMode::kFp32ReduceScatter;
   return config;
 }
 
-NumericTrainConfig ZeroConfig(int dp) {
+// FP8 compute with BF16 gradient and parameter wires.
+NumericTrainConfig CompressedConfig(int dp) {
   NumericTrainConfig config = BaseConfig(dp);
   config.precision = TrainPrecision::kFp8;
   config.grad_sync = GradSyncMode::kBf16AllToAll;
-  config.zero_shard_optimizer = true;
   config.param_gather_precision = TrainPrecision::kBf16;
   return config;
 }
@@ -191,12 +193,12 @@ struct Report {
   TrainerProfile dp1_unpooled;
   TrainerProfile dp2_pooled;
   TrainerProfile dp2_unpooled;
-  TrainerProfile zero_pooled;
-  TrainerProfile zero_unpooled;
+  TrainerProfile fp8_pooled;
+  TrainerProfile fp8_unpooled;
   FusedTiming fused;
   MemStatsSnapshot phases;  // phase breakdown of the last pooled dp=2 run
-  bool replicated_bitwise = false;
-  bool zero_bitwise = false;
+  bool fp32_wire_bitwise = false;
+  bool fp8_bitwise = false;
 };
 
 Report RunAll() {
@@ -205,27 +207,27 @@ Report RunAll() {
   // deterministic order — the strict zero-alloc gate.
   const int default_workers = ParallelWorkerCount();
   SetParallelWorkerCount(1);
-  report.dp1_unpooled = ProfileTrainer("dp1/bf16 unpooled", ReplicatedConfig(1), false);
-  report.dp1_pooled = ProfileTrainer("dp1/bf16 pooled", ReplicatedConfig(1), true);
+  report.dp1_unpooled = ProfileTrainer("dp1/bf16 unpooled", Fp32WireConfig(1), false);
+  report.dp1_pooled = ProfileTrainer("dp1/bf16 pooled", Fp32WireConfig(1), true);
   SetParallelWorkerCount(default_workers);
 
   // dp=2 with the default worker pool: reported (concurrent ranks interleave
   // arbitrarily in the bucket free lists, so steady-state heap allocs are
   // near — not provably — zero), and the source of the phase breakdown.
-  report.dp2_unpooled = ProfileTrainer("dp2/bf16 unpooled", ReplicatedConfig(2), false);
-  NumericTrainConfig traced = ReplicatedConfig(2);
+  report.dp2_unpooled = ProfileTrainer("dp2/bf16 unpooled", Fp32WireConfig(2), false);
+  NumericTrainConfig traced = Fp32WireConfig(2);
   traced.capture_comm_events = true;
   report.dp2_pooled = ProfileTrainer("dp2/bf16 pooled", traced, true);
   report.phases = GetMemStats();
 
-  // ZeRO-1 FP8 path (sharded masters, BF16 wire, FP8 compute round-trip).
-  report.zero_unpooled = ProfileTrainer("dp2/fp8-zero unpooled", ZeroConfig(2), false);
-  report.zero_pooled = ProfileTrainer("dp2/fp8-zero pooled", ZeroConfig(2), true);
+  // FP8 compute round-trip with BF16 gradient and parameter wires.
+  report.fp8_unpooled = ProfileTrainer("dp2/fp8-bf16wire unpooled", CompressedConfig(2), false);
+  report.fp8_pooled = ProfileTrainer("dp2/fp8-bf16wire pooled", CompressedConfig(2), true);
 
-  report.replicated_bitwise =
+  report.fp32_wire_bitwise =
       BitwiseEqual(report.dp2_pooled.loss, report.dp2_unpooled.loss) &&
       BitwiseEqual(report.dp1_pooled.loss, report.dp1_unpooled.loss);
-  report.zero_bitwise = BitwiseEqual(report.zero_pooled.loss, report.zero_unpooled.loss);
+  report.fp8_bitwise = BitwiseEqual(report.fp8_pooled.loss, report.fp8_unpooled.loss);
 
   report.fused = TimeFusedPipeline();
   return report;
@@ -248,8 +250,8 @@ void PrintReport(const Report& report) {
   row(report.dp1_pooled);
   row(report.dp2_unpooled);
   row(report.dp2_pooled);
-  row(report.zero_unpooled);
-  row(report.zero_pooled);
+  row(report.fp8_unpooled);
+  row(report.fp8_pooled);
   table.Print("Trainer allocation profile (" + std::to_string(kSteps) +
               " steps per run; steady = second run on the warmed pool):");
 
@@ -265,9 +267,9 @@ void PrintReport(const Report& report) {
   }
   phase_table.Print("Per-phase arena traffic (pooled dp=2 runs, cold + steady):");
 
-  std::printf("bitwise loss identity pooled vs unpooled: replicated %s, zero-1 %s\n",
-              report.replicated_bitwise ? "yes" : "NO",
-              report.zero_bitwise ? "yes" : "NO");
+  std::printf("bitwise loss identity pooled vs unpooled: bf16/fp32-wire %s, "
+              "fp8/bf16-wire %s\n",
+              report.fp32_wire_bitwise ? "yes" : "NO", report.fp8_bitwise ? "yes" : "NO");
   std::printf("fused all-gather+GEMM (fig15 shapes): pooled %.2f ms vs unpooled %.2f "
               "ms (%.2fx), bitwise %s\n",
               report.fused.pooled_ms, report.fused.unpooled_ms,
@@ -285,7 +287,7 @@ void WriteJson(const Report& report) {
                static_cast<long long>(kSteps));
   const TrainerProfile* profiles[] = {&report.dp1_unpooled, &report.dp1_pooled,
                                       &report.dp2_unpooled, &report.dp2_pooled,
-                                      &report.zero_unpooled, &report.zero_pooled};
+                                      &report.fp8_unpooled, &report.fp8_pooled};
   for (size_t i = 0; i < 6; ++i) {
     const TrainerProfile& profile = *profiles[i];
     std::fprintf(json,
@@ -316,10 +318,10 @@ void WriteJson(const Report& report) {
   spread += ", ";
   AppendTimingSpreadJson(&spread, "unpooled", report.fused.unpooled_stats);
   std::fprintf(json,
-               "\n], \"bitwise\": {\"replicated\": %s, \"zero\": %s, \"fused\": %s}, "
+               "\n], \"bitwise\": {\"fp32_wire\": %s, \"fp8_bf16_wire\": %s, \"fused\": %s}, "
                "\"fused_ms\": {\"pooled\": %.3f, \"unpooled\": %.3f, %s}}\n",
-               report.replicated_bitwise ? "true" : "false",
-               report.zero_bitwise ? "true" : "false",
+               report.fp32_wire_bitwise ? "true" : "false",
+               report.fp8_bitwise ? "true" : "false",
                report.fused.bitwise ? "true" : "false", report.fused.pooled_ms,
                report.fused.unpooled_ms, spread.c_str());
   std::fclose(json);
@@ -349,11 +351,11 @@ int CheckMode() {
                 static_cast<unsigned long long>(report.dp1_pooled.steady_heap_allocs));
     ++failures;
   }
-  if (!report.replicated_bitwise || !report.zero_bitwise || !report.fused.bitwise) {
+  if (!report.fp32_wire_bitwise || !report.fp8_bitwise || !report.fused.bitwise) {
     std::printf("\nMEMORY SMOKE FAILED: pooled results not bitwise identical to "
-                "unpooled (replicated %s, zero %s, fused %s)\n",
-                report.replicated_bitwise ? "ok" : "DIVERGED",
-                report.zero_bitwise ? "ok" : "DIVERGED",
+                "unpooled (bf16/fp32-wire %s, fp8/bf16-wire %s, fused %s)\n",
+                report.fp32_wire_bitwise ? "ok" : "DIVERGED",
+                report.fp8_bitwise ? "ok" : "DIVERGED",
                 report.fused.bitwise ? "ok" : "DIVERGED");
     ++failures;
   }

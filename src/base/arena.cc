@@ -253,7 +253,11 @@ Workspace::~Workspace() {
 }
 
 void* Workspace::Slot(const char* tag, int64_t bytes) {
-  Entry& entry = slots_[std::string(tag)];
+  auto found = slots_.find(std::string_view(tag));
+  if (found == slots_.end()) {
+    found = slots_.emplace(tag, Entry{}).first;
+  }
+  Entry& entry = found->second;
   if (bytes > entry.capacity) {
     ArenaRelease(entry.data, entry.capacity);
     entry.data = ArenaAcquire(bytes);

@@ -33,7 +33,9 @@
 #define MSMOE_SRC_BASE_ARENA_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -192,7 +194,14 @@ class Workspace {
     void* data = nullptr;
     int64_t capacity = 0;
   };
-  std::unordered_map<std::string, Entry> slots_;
+  // Looked up by std::string_view, so only a tag's first use builds a key.
+  struct TagHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view tag) const {
+      return std::hash<std::string_view>{}(tag);
+    }
+  };
+  std::unordered_map<std::string, Entry, TagHash, std::equal_to<>> slots_;
 };
 
 // The calling thread's workspace (created on first use, released to the

@@ -57,11 +57,13 @@ bool InParallelWorker();
 
 // Invokes fn over a disjoint partition of [0, n): fn(begin, end) with
 // 0 <= begin < end <= n, covering every index exactly once. Shards are
-// contiguous and at least `grain` long (except possibly the last), capped at
-// ParallelWorkerCount() shards. The caller executes shard 0 and every shard
-// no helper has started, then blocks until all shards finish. Runs fn(0, n)
-// inline when n <= grain, the cap is 1, or the call is nested inside another
-// ParallelFor shard.
+// contiguous and balanced: min(ParallelWorkerCount(), ceil(n / grain)) of
+// them, whose lengths differ by at most one. A fanned-out shard therefore
+// holds at least grain / 2 indices (rounded down) but may hold fewer than
+// `grain` (n = 256 at grain 234 gives two shards of 128). The caller
+// executes shard 0 and every shard no helper has started, then blocks until
+// all shards finish. Runs fn(0, n) inline when n <= grain, the cap is 1, or
+// the call is nested inside another ParallelFor shard.
 //
 // Exceptions thrown by fn on any shard (including MSMOE_CHECK failures on
 // helpers, which are converted to FatalError) are captured; the first

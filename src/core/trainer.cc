@@ -15,7 +15,6 @@
 #include "src/comm/communicator.h"
 #include "src/comm/elastic.h"
 #include "src/comm/health.h"
-#include "src/core/exec_graph.h"
 #include "src/model/checkpoint.h"
 #include "src/model/flat_adam.h"
 #include "src/numerics/bf16.h"
@@ -187,35 +186,36 @@ void RoundFlatForWire(float* data, int64_t count, TrainPrecision precision) {
   }
 }
 
-std::vector<float> SaveParams(const LmParams& params) {
-  std::vector<float> blob;
-  params.ForEachConst([&blob](const std::string&, const Tensor& tensor) {
-    const size_t cursor = blob.size();
-    blob.resize(cursor + static_cast<size_t>(tensor.numel()));
-    std::memcpy(blob.data() + cursor, tensor.data(),
-                static_cast<size_t>(tensor.numel()) * sizeof(float));
-  });
-  return blob;
-}
+// One rank's recovery snapshot: the gathered parameters (the same on every
+// rank), its FP32 master shard, and its FlatAdam state [step, m, v].
+struct ShardSnapshot {
+  std::vector<float> params;
+  std::vector<float> master;
+  std::vector<float> optimizer;
+};
 
-void LoadParams(LmParams& params, const std::vector<float>& blob) {
-  size_t cursor = 0;
-  params.ForEach([&](const std::string&, Tensor& tensor) {
-    std::memcpy(tensor.data(), blob.data() + cursor,
-                static_cast<size_t>(tensor.numel()) * sizeof(float));
-    cursor += static_cast<size_t>(tensor.numel());
-  });
-  MSMOE_CHECK_EQ(cursor, blob.size());
-}
+// A global rank's entry of the snapshot table. Only its own rank writes it:
+// a snapshot stages into the slot that is not committed, and every rank
+// flips its committed slot on the same commit verdict, so a failed commit
+// leaves the last committed snapshot intact. Peers read an entry's
+// committed slot only after a collective or rendezvous that followed the
+// owner's writes (rank 0 writing the checkpoint file after the commit
+// barrier; survivors resharding after an elastic shrink) and before their
+// own next collective, and the owner stages into that slot again only after
+// committing once more, which takes collectives with them.
+struct SnapshotEntry {
+  ShardSnapshot slot[2];
+};
 
 }  // namespace
 
 Status ValidateNumericTrainConfig(const NumericTrainConfig& config) {
-  if (config.overlap_grad_sync && config.zero_shard_optimizer) {
+  if (!config.zero_shard_optimizer) {
     return InvalidArgument(
-        "overlap_grad_sync is incompatible with zero_shard_optimizer: ZeRO-1 "
-        "reduces one flat gradient buffer after the full backward and has no "
-        "per-layer segments to overlap; disable one of the two");
+        "zero_shard_optimizer = false asks for the replicated optimizer layout, "
+        "which is gone: every run shards its FP32 masters and Adam moments "
+        "(ZeRO-1), and param_gather_precision = kFp32 reproduces the replicated "
+        "loss curve bit for bit");
   }
   if (config.elastic) {
     if (config.restart_every > 0) {
@@ -227,11 +227,6 @@ Status ValidateNumericTrainConfig(const NumericTrainConfig& config) {
     if (config.min_world < 1) {
       return InvalidArgument("min_world must be >= 1");
     }
-  }
-  if (!config.init_checkpoint_path.empty() && config.zero_shard_optimizer) {
-    return InvalidArgument(
-        "init_checkpoint_path requires a replicated optimizer: checkpoint "
-        "files hold full state, which ZeRO-1 runs shard per rank");
   }
   if (config.first_step < 0) {
     return InvalidArgument("first_step must be >= 0");
@@ -254,10 +249,10 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
   MSMOE_CHECK(config_status.ok()) << config_status.ToString();
   const int dp = config.dp_size;
   MSMOE_CHECK_GE(dp, 1);
-  // Epoch 0 of the elastic membership is exactly the fixed-world
-  // communicator non-elastic runs always used; further epochs only exist if
-  // a permanent fault shrinks the membership.
-  ElasticComm elastic(config.comm_backend, dp, config.gpus_per_node);
+  // Epoch 0 of the elastic membership is the fixed-world communicator of
+  // every run; further epochs only exist if a permanent fault shrinks the
+  // membership.
+  ElasticComm elastic(dp);
   if (config.fault_plan != nullptr) {
     elastic.set_fault_plan(config.fault_plan);
   }
@@ -269,10 +264,12 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
   const bool fault_aware = config.fault_plan != nullptr ||
                            config.collective_timeout_ms > 0.0 ||
                            config.guard_grad_checksum || config.elastic;
-  // File-backed recovery needs state that is identical on every rank; ZeRO
-  // shards the masters per-rank, so those runs recover from memory.
-  const bool file_checkpoints =
-      !config.checkpoint_path.empty() && !config.zero_shard_optimizer;
+  const bool file_checkpoints = !config.checkpoint_path.empty();
+  // Snapshots are taken only when something can restore them: a fault
+  // rollback, a Fig 19 restart, or a checkpoint file.
+  const bool snapshots = fault_aware || config.restart_every > 0 || file_checkpoints;
+  // The recovery snapshot table, one entry per global rank (SnapshotEntry).
+  std::vector<SnapshotEntry> table(snapshots ? static_cast<size_t>(dp) : 0);
   TrainCurve curve;
   curve.loss.assign(static_cast<size_t>(config.steps), 0.0);
   if (config.profiler != nullptr) {
@@ -297,20 +294,13 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       members_now[static_cast<size_t>(i)] = i;
     }
 
-    // Identical init on every rank.
+    // Identical init on every rank. `params` holds the gathered parameters;
+    // the FP32 masters live in this rank's shard.
     Rng rng(config.seed);
     LmParams params = LmParams::Init(config.model, rng);
 
-    // Replicated-optimizer path state.
-    AdamOptimizer adam(config.adam);
-    if (!config.zero_shard_optimizer) {
-      for (Tensor* t : params.TensorList()) {
-        adam.Register(t);
-      }
-    }
-
-    // The low-precision compute copy, rounded from the FP32 masters at the
-    // start of every step; FP32 runs compute on the masters themselves.
+    // The low-precision compute copy, rounded from the gathered parameters
+    // at the start of every step; FP32 runs compute on them directly.
     const bool round_compute = config.precision != TrainPrecision::kFp32;
     LmParams compute_copy = round_compute ? params : LmParams();
     const LmParams& compute = round_compute ? compute_copy : params;
@@ -327,61 +317,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
     int64_t shard = padded / dp_now;
     std::vector<float> flat(static_cast<size_t>(padded), 0.0f);
 
-    // §5 inter-op overlap (see NumericTrainConfig::overlap_grad_sync): each
-    // layer's gradients reduce-scatter on the comm thread while the earlier
-    // layers are still in backward, with the whole step recorded as an
-    // ExecGraph. Restricted to the shapes where the result is provably
-    // bitwise identical to the synchronous path; fault replay keeps the
-    // synchronous op sequence. (overlap + ZeRO was rejected loudly by
-    // ValidateNumericTrainConfig above.)
-    const bool overlap_sync = config.overlap_grad_sync &&
-                              config.grad_sync == GradSyncMode::kFp32ReduceScatter &&
-                              config.grad_accum_steps <= 1 && !fault_aware;
-    struct GradSegment {
-      int64_t elems = 0;   // real elements (padded to a dp multiple below)
-      int64_t padded = 0;
-      std::vector<float> send;
-      std::vector<float> shard;
-      std::vector<float> full;
-      std::unique_ptr<CommHandle> handle;
-    };
-    // One segment per layer plus a tail segment (embedding + final_gain +
-    // lm_head, all ready only once backward reaches the embedding).
-    std::vector<GradSegment> segments;
-    if (overlap_sync) {
-      segments.resize(static_cast<size_t>(config.model.num_layers) + 1);
-      for (int64_t l = 0; l < config.model.num_layers; ++l) {
-        segments[static_cast<size_t>(l)].elems =
-            params.layers[static_cast<size_t>(l)].TotalElements();
-      }
-      segments.back().elems = params.embedding.numel() + params.final_gain.numel() +
-                              params.lm_head.numel();
-      for (GradSegment& seg : segments) {
-        seg.padded = ((seg.elems + dp - 1) / dp) * dp;
-        seg.send.assign(static_cast<size_t>(seg.padded), 0.0f);
-        seg.shard.assign(static_cast<size_t>(seg.padded / dp), 0.0f);
-        seg.full.assign(static_cast<size_t>(seg.padded), 0.0f);
-      }
-    }
-
-    // ZeRO-1 path state: this rank's FP32 master shard + Adam moments.
-    FlatAdam flat_adam(config.adam, config.zero_shard_optimizer ? shard : 0);
-    std::vector<float> master_shard;
-    if (config.zero_shard_optimizer) {
-      std::vector<float> full = SaveParams(params);
-      full.resize(static_cast<size_t>(padded), 0.0f);
-      master_shard.assign(full.begin() + my * shard, full.begin() + (my + 1) * shard);
-    }
-
-    // Elastic + ZeRO snapshots hold the FULL gathered state, not this
-    // rank's shard: after a shrink the shard boundaries move, so recovery
-    // reshards the gathered masters and Adam moments at the new geometry
-    // (src/model/checkpoint.h reshard helpers).
-    const bool elastic_zero = config.elastic && config.zero_shard_optimizer;
-    std::vector<float> snapshot_master_full;
-    std::vector<float> snapshot_m_full;
-    std::vector<float> snapshot_v_full;
-    int64_t snapshot_opt_step = 0;
+    // ZeRO-1 state: this rank's FP32 master shard and its Adam moments.
+    std::vector<float> master_shard = ShardOfFlat(FlattenParams(params), total_elems, dp, my);
+    FlatAdam flat_adam(config.adam, shard);
 
     // Batch buffers, hoisted out of the step loop so MakeTrainingBatch's
     // resize is a no-op at steady state.
@@ -395,8 +333,6 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // the code below.
       ScopedStep obs_step(record ? config.profiler : nullptr, my, step,
                           &comm_now->telemetry());
-      // Low-precision compute copy; masters stay FP32 (in `params` or in the
-      // ZeRO master shard).
       std::optional<MemoryScope> cast_scope;
       cast_scope.emplace("param_cast");
       if (round_compute) {
@@ -409,146 +345,23 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       LmParams grads = LmParams::ZerosLike(config.model);
       cast_scope.reset();
       LmStepStats stats;
-      const int64_t accum = std::max<int64_t>(1, config.grad_accum_steps);
-      const auto run_micro_batches = [&](const LayerGradCallback& on_layer_grads) {
+      {
         MemoryScope scope("fwd_bwd");
+        const int64_t accum = std::max<int64_t>(1, config.grad_accum_steps);
         for (int64_t micro = 0; micro < accum; ++micro) {
           MakeTrainingBatch(config.model, config.seed, step * accum + micro, my,
                             config.batch_per_rank, &inputs, &targets);
           const LmStepStats micro_stats =
               LmForwardBackward(compute, config.model, config.router, inputs, targets,
-                                config.batch_per_rank, &grads, activation_transform,
-                                on_layer_grads);
+                                config.batch_per_rank, &grads, activation_transform);
           stats.ce_loss += micro_stats.ce_loss / static_cast<double>(accum);
           stats.aux_loss += micro_stats.aux_loss / static_cast<double>(accum);
         }
         if (accum > 1) {
           grads.Scale(1.0f / static_cast<float>(accum));
         }
-      };
-
-      if (overlap_sync) {
-        // The overlapped step, recorded as a two-stream graph on the runtime
-        // executor. Every segment's producer-gated reduce-scatter is
-        // registered HERE, at record time on the rank's main thread — issue
-        // order (backward production order: layer L-1 .. 0, then the tail)
-        // is therefore identical on every rank no matter how the graph is
-        // scheduled. The ops only signal, wait, and compute.
-        for (int64_t l = config.model.num_layers - 1; l >= 0; --l) {
-          GradSegment& seg = segments[static_cast<size_t>(l)];
-          seg.handle =
-              StartGradShardSync(*comm_now, my, seg.send.data(), seg.padded,
-                                 seg.shard.data(), config.overlap_grad_chunks,
-                                 /*signal_now=*/false);
-        }
-        GradSegment& tail = segments.back();
-        tail.handle = StartGradShardSync(*comm_now, my, tail.send.data(), tail.padded,
-                                         tail.shard.data(), config.overlap_grad_chunks,
-                                         /*signal_now=*/false);
-
-        ExecGraph graph;
-        const int fwd_bwd = graph.AddCompute("fwd_bwd", [&] {
-          // As each layer's backward finishes, flatten its (final,
-          // accum == 1) gradients into the segment buffer and release the
-          // in-flight reduce-scatter; the transfer streams on the comm-proxy
-          // thread while the remaining layers run backward.
-          LayerGradCallback on_layer_grads = [&](int64_t l) {
-            GradSegment& seg = segments[static_cast<size_t>(l)];
-            size_t cur = 0;
-            grads.layers[static_cast<size_t>(l)].ForEachConst(
-                [&](const std::string&, const Tensor& tensor) {
-                  std::memcpy(seg.send.data() + cur, tensor.data(),
-                              static_cast<size_t>(tensor.numel()) * sizeof(float));
-                  cur += static_cast<size_t>(tensor.numel());
-                });
-            std::fill(seg.send.begin() + static_cast<int64_t>(cur), seg.send.end(),
-                      0.0f);
-            SignalGradSegmentReady(*seg.handle);
-          };
-          run_micro_batches(on_layer_grads);
-          // Tail segment (embedding + final_gain + lm_head) becomes final
-          // only once backward reaches the embedding.
-          GradSegment& t = segments.back();
-          size_t cur = 0;
-          const auto pack = [&](const Tensor& tensor) {
-            std::memcpy(t.send.data() + cur, tensor.data(),
-                        static_cast<size_t>(tensor.numel()) * sizeof(float));
-            cur += static_cast<size_t>(tensor.numel());
-          };
-          pack(grads.embedding);
-          pack(grads.final_gain);
-          pack(grads.lm_head);
-          std::fill(t.send.begin() + static_cast<int64_t>(cur), t.send.end(), 0.0f);
-          SignalGradSegmentReady(*t.handle);
-          return Status::Ok();
-        });
-        // Per segment: rendezvous with the reduced shard on the comm stream,
-        // then all-gather the summed segment. The all-gathers are blocking
-        // collectives, so they live on stream 0 — the caller's FIFO — where
-        // the declared order keeps their issue order identical on every
-        // rank. The waits depend on fwd_bwd so an aborted step skips them
-        // and the handle destructors cancel the unsignalled transfers.
-        std::vector<int> gathers;
-        for (size_t s = 0; s < segments.size(); ++s) {
-          GradSegment* seg = &segments[s];
-          const int wait = graph.AddComm(
-              "grad_rs_wait[" + std::to_string(s) + "]", /*stream=*/1,
-              [seg] { return seg->handle->WaitAll(); }, {fwd_bwd});
-          gathers.push_back(graph.AddComm(
-              "param_ag[" + std::to_string(s) + "]", /*stream=*/0,
-              [&, seg] {
-                comm_now->AllGather(my, seg->shard.data(), seg->full.data(),
-                                    seg->padded / dp);
-                return comm_now->GroupStatus();
-              },
-              {wait}));
-        }
-        graph.AddCompute(
-            "grad_unpack+adam",
-            [&] {
-              MemoryScope scope("optimizer");
-              for (int64_t l = 0; l < config.model.num_layers; ++l) {
-                GradSegment& seg = segments[static_cast<size_t>(l)];
-                size_t cur = 0;
-                grads.layers[static_cast<size_t>(l)].ForEach(
-                    [&](const std::string&, Tensor& tensor) {
-                      for (int64_t i = 0; i < tensor.numel(); ++i) {
-                        tensor[i] = seg.full[cur++] / static_cast<float>(dp);
-                      }
-                    });
-              }
-              GradSegment& t = segments.back();
-              size_t cur = 0;
-              const auto unpack = [&](Tensor& tensor) {
-                for (int64_t i = 0; i < tensor.numel(); ++i) {
-                  tensor[i] = t.full[cur++] / static_cast<float>(dp);
-                }
-              };
-              unpack(grads.embedding);
-              unpack(grads.final_gain);
-              unpack(grads.lm_head);
-              adam.Step(grads.TensorListConst());
-              return Status::Ok();
-            },
-            gathers);
-        // A failure surfaces as the communicator's sticky group status,
-        // which the step loop below already checks; the graph result merely
-        // mirrors it.
-        (void)graph.Execute(2);
-        for (GradSegment& seg : segments) {
-          seg.handle.reset();
-        }
-        if (record && my == 0) {
-          curve.loss[static_cast<size_t>(step)] = stats.ce_loss;
-        }
-        obs_step.set_loss(stats.ce_loss);
-        return stats.ce_loss;
       }
 
-      run_micro_batches(nullptr);
-
-      // Flatten the gradients (the overlap path above flattens per segment
-      // as the layer callbacks fire instead).
       const std::vector<const Tensor*> grad_tensors = grads.TensorListConst();
       SplitConcatenation(grad_tensors,
                          [&](size_t index, int64_t first, int64_t at, int64_t count) {
@@ -557,54 +370,48 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       });
       std::fill(flat.begin() + total_elems, flat.end(), 0.0f);
 
-      if (config.zero_shard_optimizer) {
-        // ZeRO-1: reduce this rank's gradient shard, update the master
-        // shard, and all-gather the updated parameters on the chosen wire.
-        // The shard and wire staging live in the rank thread's workspace —
-        // reused verbatim every step.
-        Workspace& ws = ThreadWorkspace();
-        float* grad_shard = ws.Floats("trainer.grad_shard", shard);
-        {
-          MemoryScope scope("grad_sync");
-          SyncGradShardInto(*comm_now, my, flat.data(), padded, config.grad_sync,
-                            grad_shard);
-        }
-        ParallelFor(shard, kTailGrain, [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            grad_shard[i] /= static_cast<float>(dp_now);
-          }
-        });
-        {
-          MemoryScope scope("optimizer");
-          flat_adam.Step(grad_shard, master_shard.data());
-        }
+      // Reduce this rank's gradient shard, update the master shard, and
+      // all-gather the updated parameters on the chosen wire. The shard and
+      // wire staging live in the rank thread's workspace — reused verbatim
+      // every step.
+      Workspace& ws = ThreadWorkspace();
+      float* grad_shard = ws.Floats("trainer.grad_shard", shard);
+      {
         MemoryScope scope("grad_sync");
-        float* wire = ws.Floats("trainer.wire", shard);
-        std::memcpy(wire, master_shard.data(), static_cast<size_t>(shard) * sizeof(float));
-        RoundFlatForWire(wire, shard, config.param_gather_precision);
-        comm_now->AllGather(my, wire, flat.data(), shard);
-        const std::vector<Tensor*> param_list = params.TensorList();
-        SplitConcatenation(param_list,
-                           [&](size_t index, int64_t first, int64_t at, int64_t count) {
-          std::memcpy(param_list[index]->data() + first, flat.data() + at,
-                      static_cast<size_t>(count) * sizeof(float));
-        });
-      } else {
-        {
-          MemoryScope scope("grad_sync");
-          AllReduceGrads(*comm_now, my, flat.data(), padded, config.grad_sync);
-        }
-        MemoryScope scope("optimizer");
-        const std::vector<Tensor*> grad_list = grads.TensorList();
-        SplitConcatenation(grad_list, [&](size_t index, int64_t first, int64_t at,
-                                          int64_t count) {
-          float* d = grad_list[index]->data() + first;
-          for (int64_t i = 0; i < count; ++i) {
-            d[i] = flat[static_cast<size_t>(at + i)] / static_cast<float>(dp_now);
-          }
-        });
-        adam.Step(grads.TensorListConst());
+        SyncGradShardInto(*comm_now, my, flat.data(), padded, config.grad_sync, grad_shard);
       }
+      ParallelFor(shard, kTailGrain, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          grad_shard[i] /= static_cast<float>(dp_now);
+        }
+      });
+      {
+        MemoryScope scope("optimizer");
+        double norm_sq = 0.0;
+        if (config.adam.grad_clip_norm > 0.0) {
+          // Global-norm clipping: each rank's shard sum of squares (in
+          // element order), summed in rank order.
+          double local = 0.0;
+          for (int64_t i = 0; i < shard; ++i) {
+            local += static_cast<double>(grad_shard[i]) * grad_shard[i];
+          }
+          for (const double partial : comm_now->ExchangeScalars(my, local)) {
+            norm_sq += partial;
+          }
+        }
+        flat_adam.Step(grad_shard, master_shard.data(), AdamClipScale(config.adam, norm_sq));
+      }
+      MemoryScope scope("grad_sync");
+      float* wire = ws.Floats("trainer.wire", shard);
+      std::memcpy(wire, master_shard.data(), static_cast<size_t>(shard) * sizeof(float));
+      RoundFlatForWire(wire, shard, config.param_gather_precision);
+      comm_now->AllGather(my, wire, flat.data(), shard);
+      const std::vector<Tensor*> param_list = params.TensorList();
+      SplitConcatenation(param_list,
+                         [&](size_t index, int64_t first, int64_t at, int64_t count) {
+        std::memcpy(param_list[index]->data() + first, flat.data() + at,
+                    static_cast<size_t>(count) * sizeof(float));
+      });
 
       if (record && my == 0) {
         curve.loss[static_cast<size_t>(step)] = stats.ce_loss;
@@ -613,15 +420,27 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       return stats.ce_loss;
     };
 
-    auto save_opt = [&] {
-      return config.zero_shard_optimizer ? flat_adam.SaveState() : adam.SaveState();
-    };
-    auto load_opt = [&](const std::vector<float>& blob) {
-      if (config.zero_shard_optimizer) {
-        flat_adam.LoadState(blob);
-      } else {
-        adam.LoadState(blob);
+    // Loads an unsharded state — parameters plus the [step, masters, m, v]
+    // optimizer blob of a checkpoint file — at the current geometry.
+    auto load_full = [&](const Checkpoint& full) {
+      const Status restored = RestoreParams(params, full.params);
+      MSMOE_CHECK(restored.ok()) << restored.ToString();
+      const std::vector<float>& blob = full.optimizer_state;
+      MSMOE_CHECK_EQ(static_cast<int64_t>(blob.size()), 1 + 3 * total_elems)
+          << "optimizer state is not the [step, masters, m, v] blob of this model";
+      const auto shard_of = [&](int part) {
+        const auto begin = blob.begin() + 1 + part * total_elems;
+        return ShardOfFlat(std::vector<float>(begin, begin + total_elems), total_elems,
+                           dp_now, my);
+      };
+      master_shard = shard_of(0);
+      std::vector<float> state = {blob[0]};
+      for (const int part : {1, 2}) {
+        const std::vector<float> moment = shard_of(part);
+        state.insert(state.end(), moment.begin(), moment.end());
       }
+      flat_adam = FlatAdam(config.adam, shard);
+      flat_adam.LoadState(state);
     };
 
     // Warmup ("checkpoint to continue from", Fig 18's 176B scenario).
@@ -631,129 +450,143 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
 
     // Continue a previous run from its persisted checkpoint (the elastic
     // bit-identity cross-check starts a fresh W-k run this way).
+    std::optional<Checkpoint> loaded;
     if (!config.init_checkpoint_path.empty()) {
-      Result<Checkpoint> loaded = LoadCheckpoint(config.init_checkpoint_path);
-      MSMOE_CHECK(loaded.ok()) << loaded.status().ToString();
-      const Status restored = RestoreParams(params, loaded.value().params);
-      MSMOE_CHECK(restored.ok()) << restored.ToString();
-      load_opt(loaded.value().optimizer_state);
+      Result<Checkpoint> file = LoadCheckpoint(config.init_checkpoint_path);
+      MSMOE_CHECK(file.ok()) << file.status().ToString();
+      loaded = std::move(file.value());
+      load_full(*loaded);
     }
 
-    // Gathers the full ZeRO state (masters + Adam moments) of the CURRENT
-    // membership into the elastic snapshot buffers; returns false (nothing
-    // committed) if the group failed mid-gather. The gathered padding is
-    // zero by construction (zero-padded grads keep zero moments and zero
-    // master updates), so trimming to total_elems is lossless.
-    auto gather_zero_snapshot = [&] {
-      std::vector<float> opt_blob = flat_adam.SaveState();  // [step, m, v]
-      MSMOE_CHECK_EQ(static_cast<int64_t>(opt_blob.size()), 1 + 2 * shard);
-      std::vector<float> master_full(static_cast<size_t>(padded), 0.0f);
-      std::vector<float> m_full(static_cast<size_t>(padded), 0.0f);
-      std::vector<float> v_full(static_cast<size_t>(padded), 0.0f);
-      // Commit on each gather's own status (the TryBarrier commit-token
-      // contract): every rank reaches the same verdict even when a fault
-      // lands right after the last gather closes.
-      Status gathered =
-          comm_now->TryAllGather(my, master_shard.data(), master_full.data(), shard);
-      if (gathered.ok()) {
-        gathered = comm_now->TryAllGather(my, opt_blob.data() + 1, m_full.data(), shard);
-      }
-      if (gathered.ok()) {
-        gathered = comm_now->TryAllGather(my, opt_blob.data() + 1 + shard,
-                                          v_full.data(), shard);
-      }
-      if (!gathered.ok()) {
-        return false;
-      }
-      master_full.resize(static_cast<size_t>(total_elems));
-      m_full.resize(static_cast<size_t>(total_elems));
-      v_full.resize(static_cast<size_t>(total_elems));
-      snapshot_master_full = std::move(master_full);
-      snapshot_m_full = std::move(m_full);
-      snapshot_v_full = std::move(v_full);
-      snapshot_opt_step = static_cast<int64_t>(opt_blob[0]);
-      return true;
-    };
-
-    std::vector<float> checkpoint_params = SaveParams(params);
-    std::vector<float> checkpoint_master = master_shard;
-    std::vector<float> checkpoint_opt = save_opt();
+    // The committed snapshot, replicated on every rank: its table slot, its
+    // step, and the members (global ranks, in epoch-rank order) whose
+    // entries hold it.
+    int committed = 0;
     int64_t checkpoint_step = config.first_step;
-    if (elastic_zero) {
-      MSMOE_CHECK(gather_zero_snapshot()) << "initial elastic snapshot failed: "
-                                          << comm_now->GroupStatus().ToString();
-    }
-    if (file_checkpoints && my == 0) {
-      const Status saved =
-          SaveCheckpoint(config.checkpoint_path, params, checkpoint_opt);
+    std::vector<int> snapshot_members = members_now;
+
+    auto stage = [&] {
+      ShardSnapshot& staged = table[static_cast<size_t>(rank)].slot[1 - committed];
+      staged.params = FlattenParams(params);
+      staged.master = master_shard;
+      staged.optimizer = flat_adam.SaveState();
+    };
+    auto commit = [&](int64_t step) {
+      committed = 1 - committed;
+      checkpoint_step = step;
+      snapshot_members = members_now;
+    };
+    // The committed snapshot's optimizer state, unsharded: the checkpoint
+    // file's [step, masters, m, v] blob, assembled from every snapshot
+    // member's committed entry.
+    auto assemble_optimizer = [&] {
+      const int world = static_cast<int>(snapshot_members.size());
+      const int64_t member_shard = PaddedGradCount(total_elems, world) / world;
+      std::vector<std::vector<float>> parts[3];
+      for (const int member : snapshot_members) {
+        const ShardSnapshot& entry = table[static_cast<size_t>(member)].slot[committed];
+        parts[0].push_back(entry.master);
+        parts[1].emplace_back(entry.optimizer.begin() + 1,
+                              entry.optimizer.begin() + 1 + member_shard);
+        parts[2].emplace_back(entry.optimizer.begin() + 1 + member_shard,
+                              entry.optimizer.end());
+      }
+      std::vector<float> blob = {
+          table[static_cast<size_t>(snapshot_members[0])].slot[committed].optimizer[0]};
+      for (const std::vector<std::vector<float>>& shards : parts) {
+        const Result<std::vector<float>> full = GatherFlatFromShards(shards, total_elems);
+        MSMOE_CHECK(full.ok()) << full.status().ToString();
+        blob.insert(blob.end(), full.value().begin(), full.value().end());
+      }
+      return blob;
+    };
+    auto save_file = [&](const std::vector<float>& optimizer_state) {
+      const Status saved = SaveCheckpoint(config.checkpoint_path, params, optimizer_state);
       MSMOE_CHECK(saved.ok()) << saved.ToString();
-    }
+    };
 
     // Barrier-gated snapshot: every rank commits the same checkpoint step or
     // none does. Without the gate a rank that has not yet observed an
     // in-flight fault could snapshot a step its peers never reached, and
     // recovery would resume from diverged states.
     auto try_snapshot = [&](int64_t step) {
+      stage();
       // The commit decision branches on the barrier's OWN returned status
       // (serialized with concurrent aborts), never on a GroupStatus() read
       // after the fact: a crash raised by a peer between one rank's barrier
       // exit and another's status read would otherwise commit the snapshot
       // on some ranks only, diverging checkpoint_step — and with it the
-      // resume step — across the group.
+      // resume step — across the group. Every entry was staged before the
+      // barrier, so rank 0 can write the file from the table.
       if (!comm_now->TryBarrier(my).ok()) {
         return false;
       }
-      if (elastic_zero && !gather_zero_snapshot()) {
-        return false;
-      }
-      checkpoint_params = SaveParams(params);
-      checkpoint_master = master_shard;
-      checkpoint_opt = save_opt();
-      checkpoint_step = step;
+      commit(step);
       if (file_checkpoints && my == 0) {
-        const Status saved =
-            SaveCheckpoint(config.checkpoint_path, params, checkpoint_opt);
-        MSMOE_CHECK(saved.ok()) << saved.ToString();
+        save_file(assemble_optimizer());
       }
       return true;
     };
 
-    // Restores the snapshot at the CURRENT geometry (my, dp_now): after an
-    // elastic shrink the ZeRO state is re-sliced from the gathered full
-    // snapshot, so restoring at an unchanged world is bitwise identical to
-    // the plain per-shard copy.
-    auto restore_snapshot = [&] {
-      if (file_checkpoints) {
-        Result<Checkpoint> loaded = LoadCheckpoint(config.checkpoint_path);
-        MSMOE_CHECK(loaded.ok()) << loaded.status().ToString();
-        const Status restored = RestoreParams(params, loaded.value().params);
-        MSMOE_CHECK(restored.ok()) << restored.ToString();
-        load_opt(loaded.value().optimizer_state);
-      } else if (elastic_zero) {
-        LoadParams(params, checkpoint_params);
-        master_shard = ShardOfFlat(snapshot_master_full, total_elems, dp_now, my);
-        std::vector<float> blob;
-        blob.reserve(static_cast<size_t>(1 + 2 * shard));
-        blob.push_back(static_cast<float>(snapshot_opt_step));
-        const std::vector<float> m =
-            ShardOfFlat(snapshot_m_full, total_elems, dp_now, my);
-        const std::vector<float> v =
-            ShardOfFlat(snapshot_v_full, total_elems, dp_now, my);
-        blob.insert(blob.end(), m.begin(), m.end());
-        blob.insert(blob.end(), v.begin(), v.end());
-        flat_adam = FlatAdam(config.adam, shard);
-        flat_adam.LoadState(blob);
+    // The initial snapshot commits without a barrier: no fault can have
+    // fired yet. Its file needs the whole state: a fresh or loaded run
+    // starts from one every rank knows, but warmup steps leave the moments
+    // on their owners, so rank 0 then waits for every entry at a barrier.
+    if (snapshots) {
+      const bool whole_state_known = config.warmup_steps == 0 || loaded.has_value();
+      if (file_checkpoints && !whole_state_known) {
+        MSMOE_CHECK(try_snapshot(config.first_step))
+            << "initial snapshot failed: " << comm_now->GroupStatus().ToString();
       } else {
-        LoadParams(params, checkpoint_params);
-        master_shard = checkpoint_master;
-        load_opt(checkpoint_opt);
+        stage();
+        commit(config.first_step);
+        if (file_checkpoints && my == 0) {
+          if (loaded.has_value()) {
+            save_file(loaded->optimizer_state);
+          } else {
+            std::vector<float> fresh(static_cast<size_t>(1 + 3 * total_elems), 0.0f);
+            const std::vector<float> masters = FlattenParams(params);
+            std::copy(masters.begin(), masters.end(), fresh.begin() + 1);
+            save_file(fresh);
+          }
+        }
+      }
+    }
+
+    // Restores the committed snapshot at the CURRENT geometry (my, dp_now).
+    // On the world that took it, each rank copies its own entry back; after
+    // an elastic shrink, or from a file, the unsharded state is re-sliced at
+    // the new boundaries.
+    auto committed_state = [&] {
+      if (file_checkpoints) {
+        Result<Checkpoint> file = LoadCheckpoint(config.checkpoint_path);
+        MSMOE_CHECK(file.ok()) << file.status().ToString();
+        return std::move(file.value());
+      }
+      Checkpoint full;
+      full.params = table[static_cast<size_t>(rank)].slot[committed].params;
+      full.optimizer_state = assemble_optimizer();
+      return full;
+    };
+    auto restore_own = [&] {
+      const ShardSnapshot& own = table[static_cast<size_t>(rank)].slot[committed];
+      const Status restored = RestoreParams(params, own.params);
+      MSMOE_CHECK(restored.ok()) << restored.ToString();
+      master_shard = own.master;
+      flat_adam.LoadState(own.optimizer);
+    };
+    auto restore_snapshot = [&] {
+      if (!file_checkpoints && snapshot_members == members_now) {
+        restore_own();
+      } else {
+        load_full(committed_state());
       }
     };
 
-    // Cross-rank bitwise agreement on the synced flat buffer. Replicas are
-    // bit-identical by construction, so any difference (a flipped payload
-    // bit, a diverged update) is corruption; the first rank to see it
-    // cancels the group.
+    // Cross-rank bitwise agreement on the gathered parameters. They are
+    // identical on every rank by construction, so any difference (a flipped
+    // payload bit, a diverged update) is corruption; the first rank to see
+    // it cancels the group.
     auto checksum_guard = [&] {
       double sum = 0.0;
       for (float value : flat) {
@@ -784,13 +617,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           step != checkpoint_step) {
         // Checkpoint the current state, tear down, and restore — the Fig 19
         // restart pattern. The curve must continue seamlessly.
-        checkpoint_params = SaveParams(params);
-        checkpoint_master = master_shard;
-        checkpoint_opt = save_opt();
-        checkpoint_step = step;
-        LoadParams(params, checkpoint_params);
-        master_shard = checkpoint_master;
-        load_opt(checkpoint_opt);
+        stage();
+        commit(step);
+        restore_own();
         if (my == 0) {
           curve.restart_steps.push_back(step);
         }
@@ -830,52 +659,31 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // fault may read OK here and enter recovery one iteration later — the
       // rollback below re-aligns everyone at step = checkpoint_step, which
       // the barrier-gated snapshot keeps identical across the group.
-      if (!config.elastic) {
-        // Legacy rollback path: every recoverable fault is retried. Codes
-        // outside the rollback-repairable set (see IsRetryableFault) are
-        // logic errors that would fail identically on replay — fail loudly.
-        MSMOE_CHECK(IsRetryableFault(status) ||
-                    status.code() == StatusCode::kDataLoss)
-            << "non-recoverable failure at step " << step << ": "
-            << status.ToString();
-        ++recoveries_used;
-        MSMOE_CHECK_LE(recoveries_used, config.max_recoveries)
-            << "training failed at step " << step << " and exhausted "
-            << config.max_recoveries << " recoveries: " << status.ToString();
-        if (my == 0 && config.profiler != nullptr) {
-          config.profiler->NoteRetry();
+      //
+      // Classification. Elastic runs ask the policy; attribution is the
+      // communicator's shared suspect (explicit abort culprit, or the
+      // barrier arrival bitmap on a timeout), falling back to the straggler
+      // report over the epoch's telemetry for deadline faults with no bitmap
+      // attribution. Both inputs are identical on every rank. Other runs
+      // retry every code a rollback can repair (see IsRetryableFault, plus
+      // the checksum guard's DataLoss) with no backoff; any other code is a
+      // logic error that would fail identically on replay.
+      RecoveryDecision decision;
+      if (config.elastic) {
+        int suspect = comm_now->SuspectRank();
+        if (suspect < 0 && status.code() == StatusCode::kDeadlineExceeded) {
+          suspect =
+              WorstStragglerRank(DetectStragglers(comm_now->telemetry().Events()));
         }
-        comm_now->RecoveryBarrier(my);
-        restore_snapshot();
-        if (my == 0) {
-          RecoveryEvent event;
-          event.failed_step = step;
-          event.resumed_step = checkpoint_step;
-          event.steps_lost = step - checkpoint_step;
-          event.cause = status.ToString();
-          event.world_after = 0;
-          curve.recoveries.push_back(event);
-        }
-        step = checkpoint_step;
-        continue;
+        const int culprit_global = (suspect >= 0 && suspect < dp_now)
+                                       ? members_now[static_cast<size_t>(suspect)]
+                                       : -1;
+        decision = policy.OnFailure(status, culprit_global);
+      } else if (IsRetryableFault(status) || status.code() == StatusCode::kDataLoss) {
+        decision.verdict = FaultVerdict::kTransient;
+      } else {
+        decision.reason = "not repairable by rollback";
       }
-
-      // --- Elastic fault classification ---------------------------------
-      // Attribution: the communicator's shared suspect (explicit abort
-      // culprit, or the barrier arrival bitmap on a timeout), falling back
-      // to the straggler report over the epoch's telemetry for deadline
-      // faults with no bitmap attribution. Both inputs are identical on
-      // every rank.
-      int suspect = comm_now->SuspectRank();
-      if (suspect < 0 && status.code() == StatusCode::kDeadlineExceeded) {
-        suspect =
-            WorstStragglerRank(DetectStragglers(comm_now->telemetry().Events()));
-      }
-      const int culprit_global =
-          (suspect >= 0 && suspect < dp_now)
-              ? members_now[static_cast<size_t>(suspect)]
-              : -1;
-      const RecoveryDecision decision = policy.OnFailure(status, culprit_global);
       MSMOE_CHECK(decision.verdict != FaultVerdict::kFatal)
           << "fatal failure at step " << step << " (" << decision.reason
           << "): " << status.ToString();
@@ -887,90 +695,59 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         config.profiler->NoteRetry();
       }
 
-      if (decision.verdict == FaultVerdict::kTransient) {
-        comm_now->RecoveryBarrier(my);
-        if (decision.backoff_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(decision.backoff_ms));
+      if (decision.verdict == FaultVerdict::kPermanent) {
+        // Evict the culprit and continue on the survivors.
+        const int culprit_global = decision.culprit_rank;
+        MSMOE_CHECK_GE(culprit_global, 0)
+            << "permanent verdict without a culprit: " << decision.reason;
+        MSMOE_CHECK_GE(dp_now - 1, config.min_world)
+            << "cannot shrink below min_world=" << config.min_world << " (world "
+            << dp_now << ", evicting rank " << culprit_global << ")";
+        if (rank == culprit_global) {
+          // This thread IS the evicted rank. It reached the same replicated
+          // verdict from the same sticky error, recognized itself, and
+          // leaves the rank loop; the survivors rendezvous in Shrink
+          // WITHOUT it (a dead rank can't be required for its own funeral).
+          // Its stale communicator stays valid — retired — for any pointer
+          // still held, and its table entry stays readable.
+          return;
         }
-        restore_snapshot();
-        if (my == 0) {
-          RecoveryEvent event;
-          event.failed_step = step;
-          event.resumed_step = checkpoint_step;
-          event.steps_lost = step - checkpoint_step;
-          event.cause = status.ToString();
-          event.verdict = decision.verdict;
-          event.culprit_rank = decision.culprit_rank;
-          event.world_after = dp_now;
-          event.backoff_ms = decision.backoff_ms;
-          curve.recoveries.push_back(event);
+        const Status shrunk = elastic.Shrink(rank, {culprit_global});
+        MSMOE_CHECK(shrunk.ok()) << "elastic shrink failed at step " << step << ": "
+                                 << shrunk.ToString();
+        comm_now = elastic.comm();
+        my = elastic.EpochRank(rank);
+        MSMOE_CHECK_GE(my, 0);
+        dp_now = elastic.size();
+        members_now = elastic.members();
+        if (my == 0 && config.profiler != nullptr) {
+          config.profiler->NoteEviction();
+          // New epoch => new (smaller) world for MFU attribution and the
+          // detector's cross-rank pass; partially-reported steps of the old
+          // epoch age out of the detector's pending map.
+          config.profiler->set_world(dp_now);
         }
-        step = checkpoint_step;
-        continue;
-      }
-
-      // Permanent verdict: evict the culprit and continue on the survivors.
-      MSMOE_CHECK_GE(culprit_global, 0)
-          << "permanent verdict without a culprit: " << decision.reason;
-      MSMOE_CHECK_GE(dp_now - 1, config.min_world)
-          << "cannot shrink below min_world=" << config.min_world << " (world "
-          << dp_now << ", evicting rank " << culprit_global << ")";
-      if (rank == culprit_global) {
-        // This thread IS the evicted rank. It reached the same replicated
-        // verdict from the same sticky error, recognized itself, and leaves
-        // the rank loop; the survivors rendezvous in Shrink WITHOUT it (a
-        // dead rank can't be required for its own funeral). Its stale
-        // communicator stays valid — retired — for any pointer still held.
-        return;
-      }
-      const Status shrunk = elastic.Shrink(rank, {culprit_global});
-      MSMOE_CHECK(shrunk.ok()) << "elastic shrink failed at step " << step
-                               << ": " << shrunk.ToString();
-      comm_now = elastic.comm();
-      my = elastic.EpochRank(rank);
-      MSMOE_CHECK_GE(my, 0);
-      dp_now = elastic.size();
-      members_now = elastic.members();
-      if (my == 0 && config.profiler != nullptr) {
-        config.profiler->NoteEviction();
-        // New epoch => new (smaller) world for MFU attribution and the
-        // detector's cross-rank pass; partially-reported steps of the old
-        // epoch age out of the detector's pending map.
-        config.profiler->set_world(dp_now);
-      }
-      // Re-plan the per-rank geometry for the shrunk world, then restore
-      // the snapshot resharded at the new boundaries.
-      padded = PaddedGradCount(total_elems, dp_now);
-      shard = padded / dp_now;
-      flat.assign(static_cast<size_t>(padded), 0.0f);
-      restore_snapshot();
-      {
-        // Cross-rank checksum of the resharded state BEFORE the first
-        // degraded step: a reshard bug must surface here as DataLoss, not
-        // three steps later as a silently forked loss curve. Params (and
-        // for ZeRO the gathered full snapshots) are replicated, so their
-        // sums must agree bitwise across all survivors.
+        // Re-plan the per-rank geometry for the shrunk world, then restore
+        // the snapshot resharded at the new boundaries.
+        padded = PaddedGradCount(total_elems, dp_now);
+        shard = padded / dp_now;
+        flat.assign(static_cast<size_t>(padded), 0.0f);
+        const Checkpoint full = committed_state();
+        load_full(full);
+        // Cross-rank checksum of the restored state BEFORE the first
+        // degraded step: survivors that resharded different snapshots must
+        // surface here as DataLoss, not three steps later as a silently
+        // forked loss curve.
         double state_sum = 0.0;
-        const std::vector<float> restored = SaveParams(params);
-        for (float value : restored) {
-          state_sum += static_cast<double>(value);
-        }
-        if (elastic_zero) {
-          for (float value : snapshot_master_full) {
-            state_sum += static_cast<double>(value);
-          }
-          for (float value : snapshot_m_full) {
-            state_sum += static_cast<double>(value);
-          }
-          for (float value : snapshot_v_full) {
+        for (const std::vector<float>* part : {&full.params, &full.optimizer_state}) {
+          for (const float value : *part) {
             state_sum += static_cast<double>(value);
           }
         }
         const std::vector<double> sums = comm_now->ExchangeScalars(my, state_sum);
         const Status guard = comm_now->GroupStatus();
-        MSMOE_CHECK(guard.ok())
-            << "post-shrink validation collective failed: " << guard.ToString();
+        MSMOE_CHECK(guard.ok()) << "post-shrink validation collective failed: "
+                                << guard.ToString();
         for (int peer = 0; peer < dp_now; ++peer) {
           if (sums[static_cast<size_t>(peer)] != state_sum) {
             comm_now->Abort(
@@ -982,6 +759,13 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         MSMOE_CHECK(comm_now->GroupStatus().ok())
             << "post-shrink reshard validation failed: "
             << comm_now->GroupStatus().ToString();
+      } else {
+        comm_now->RecoveryBarrier(my);
+        if (decision.backoff_ms > 0.0) {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(decision.backoff_ms));
+        }
+        restore_snapshot();
       }
       if (my == 0) {
         RecoveryEvent event;
@@ -990,8 +774,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         event.steps_lost = step - checkpoint_step;
         event.cause = status.ToString();
         event.verdict = decision.verdict;
-        event.culprit_rank = culprit_global;
-        event.world_after = dp_now;
+        event.culprit_rank = decision.culprit_rank;
+        event.world_after = config.elastic ? dp_now : 0;
+        event.backoff_ms = decision.backoff_ms;
         curve.recoveries.push_back(event);
       }
       step = checkpoint_step;

@@ -5,14 +5,18 @@
 //   Fig 18: FP8 vs BF16 training (from scratch and continued).
 //   Fig 19: long production run with periodic checkpoint restarts.
 //
-// Every rank holds a replica initialized from the same seed; gradients are
-// synchronized with the selected GradSyncMode and averaged, so the replicas
-// stay bit-identical and rank 0's loss is the curve.
+// Optimizer state is sharded ZeRO-1 style (§2.2): every rank runs the same
+// parameters on its own batch, reduces its 1/dp shard of the flattened
+// gradients with the selected GradSyncMode, steps Adam on the FP32 master
+// shard it owns, and all-gathers the updated parameters at
+// param_gather_precision. The gathered parameters are identical on every
+// rank, and rank 0's loss is the curve. An FP32 gather reproduces a
+// replicated optimizer bit for bit (tests/reference_trainer.h).
 //
 // Precision emulation (the paper's hardware FP8/BF16 pipelines are
 // substituted by software rounding, see DESIGN.md):
 //   kBf16: parameters rounded to BF16 before each forward/backward
-//          (FP32 masters kept by Adam).
+//          (FP32 masters kept in the owner's shard).
 //   kFp8:  parameters rounded through per-tensor-scaled E4M3 and hidden
 //          activations rounded per-token between layers (§7's per-token
 //          quantization), straight-through in backward.
@@ -44,11 +48,6 @@ struct NumericTrainConfig {
   ModelConfig model = TinyMoeConfig();
   RouterConfig router;
   int dp_size = 2;
-  // Collective backend for the DP group: flat single-level ring, or the
-  // Appendix A.1 two-level intra/inter-node scheme. Hierarchical requires
-  // gpus_per_node > 1 dividing dp_size (otherwise falls back to flat).
-  CommBackend comm_backend = CommBackend::kFlat;
-  int gpus_per_node = 0;
   GradSyncMode grad_sync = GradSyncMode::kFp32ReduceScatter;
   TrainPrecision precision = TrainPrecision::kBf16;
   AdamConfig adam;
@@ -65,30 +64,16 @@ struct NumericTrainConfig {
   // Fig 18 "continue training": run this many warmup steps first and treat
   // them as the loaded checkpoint (0 = train from scratch).
   int64_t warmup_steps = 0;
-  // ZeRO-1 (§2.2): shard FP32 masters and Adam moments over the DP group;
-  // each rank updates its shard and parameters are re-gathered every step.
-  bool zero_shard_optimizer = false;
-  // Wire precision of the ZeRO parameter all-gather. §7's multi-precision
+  // ZeRO-1 (§2.2) is the only optimizer layout: `false` (the replicated
+  // layout) is rejected by ValidateNumericTrainConfig. The field stays only
+  // because the step benchmark (stepbench/) sets it; the change that
+  // redefines that benchmark (ROADMAP item 1) deletes it.
+  bool zero_shard_optimizer = true;
+  // Wire precision of the parameter all-gather. §7's multi-precision
   // optimizer stores FP8 compute parameters, halving this collective; the
-  // FP32 masters live only in the owner's shard.
+  // FP32 masters live only in the owner's shard. kFp32 gathers the masters
+  // themselves.
   TrainPrecision param_gather_precision = TrainPrecision::kFp32;
-  // §5 inter-op overlap: the whole step is recorded as a two-stream graph
-  // on the runtime executor (src/core/exec_graph.h) — each layer's DP
-  // gradient reduce-scatter is registered producer-gated before backward
-  // starts, released the moment that layer's backward finishes, and waited
-  // on the comm stream before the optimizer step. Bitwise identical to the
-  // synchronous path (per-element reductions are segmentation-independent),
-  // so the loss curve does not change. Only takes effect on the replicated
-  // kFp32ReduceScatter path with grad_accum_steps == 1 and no fault
-  // machinery armed; those shapes fall back to the synchronous sync so
-  // fault replay keeps its bit-identical op sequence. Combining it with
-  // zero_shard_optimizer is a CONFIG ERROR (the ZeRO-1 path reduces one
-  // flat buffer after the full backward — there are no per-layer segments
-  // to overlap): ValidateNumericTrainConfig rejects it and TrainLm refuses
-  // to run, instead of silently training without overlap.
-  bool overlap_grad_sync = false;
-  // Chunks per per-layer reduce-scatter in the overlap path.
-  int overlap_grad_chunks = 2;
 
   // --- Fault tolerance -----------------------------------------------------
   // Injected fault schedule (not owned; nullptr = fault-free). Installed on
@@ -102,17 +87,17 @@ struct NumericTrainConfig {
   // post-warmup state). Snapshots are barrier-gated so every rank commits
   // the same checkpoint step or none does.
   int64_t checkpoint_every = 0;
-  // When set (and not ZeRO-sharded), rank 0 persists every snapshot through
-  // SaveCheckpoint (crash-safe v2 file) and recovery restores from the file
-  // instead of memory; ZeRO keeps per-rank shards, which only exist
-  // in-memory.
+  // When set, rank 0 persists every snapshot through SaveCheckpoint
+  // (crash-safe v2 file holding the whole unsharded state, see
+  // src/model/checkpoint.h) and recovery restores from the file instead of
+  // memory.
   std::string checkpoint_path;
   // Recovery attempts before the run gives up (guards against a fault that
   // deterministically refires, e.g. a permanent slow rank under a timeout).
   int64_t max_recoveries = 8;
-  // Cross-rank bitwise checksum of the synced flat buffer after every step;
-  // a divergence (e.g. an injected bit-flip) aborts the group and triggers
-  // recovery instead of silently forking the replicas.
+  // Cross-rank bitwise checksum of the gathered parameters after every
+  // step; a divergence (e.g. an injected bit-flip) aborts the group and
+  // triggers recovery instead of silently forking the ranks' parameters.
   bool guard_grad_checksum = false;
   // Copy the communicator's telemetry into TrainCurve::comm_events so the
   // caller can run straggler detection / trace export over the run.
@@ -128,8 +113,8 @@ struct NumericTrainConfig {
   RecoveryPolicyConfig recovery_policy;
   // Refuse (CHECK) to shrink below this many survivors.
   int min_world = 1;
-  // Start from this checkpoint file instead of fresh init (non-ZeRO only:
-  // file checkpoints hold replicated state). With first_step > 0 the run
+  // Start from this checkpoint file instead of fresh init; its unsharded
+  // state is sharded over this run's world. With first_step > 0 the run
   // continues at that step — batches, loss indices, and snapshots line up
   // with the run that wrote the file, so a fresh W-k run started from a
   // shrunk run's snapshot replays its post-shrink curve bit for bit.
@@ -180,10 +165,11 @@ struct TrainCurve {
   int final_world = 0;
 };
 
-// Rejects contradictory configurations (currently: overlap_grad_sync
-// together with zero_shard_optimizer) with kInvalidArgument. TrainLm
-// validates on entry and CHECK-fails on a non-OK status rather than
-// silently dropping the requested behavior.
+// Rejects unsupported or contradictory configurations (the replicated
+// optimizer layout, elastic with restart_every, first_step without a
+// checkpoint to continue from) with kInvalidArgument. TrainLm validates on
+// entry and CHECK-fails on a non-OK status rather than silently dropping
+// the requested behavior.
 [[nodiscard]] Status ValidateNumericTrainConfig(const NumericTrainConfig& config);
 
 // Runs the training job on config.dp_size rank threads and returns the

@@ -11,6 +11,13 @@
 // Version-1 files (identical layout minus the CRC word) still load — long
 // runs carry checkpoints across software upgrades.
 //
+// The trainer (src/core/trainer) writes its ZeRO-1 state unsharded, so a
+// file loads onto any world size: the parameters are the gathered copy every
+// rank computes on, and the optimizer blob is [step, masters, m, v] — the
+// Adam step count, then the FP32 master values and the two Adam moments,
+// each `param_count` floats in parameter order. A loading run slices each of
+// the three with ShardOfFlat at its own world size.
+//
 // SaveCheckpoint is crash-safe: it writes to "<path>.tmp" and atomically
 // renames over the destination, so a job killed mid-save leaves the
 // previous checkpoint intact (never a half-written file at `path`).

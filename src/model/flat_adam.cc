@@ -1,7 +1,5 @@
 #include "src/model/flat_adam.h"
 
-#include <cmath>
-
 #include "src/base/logging.h"
 
 namespace msmoe {
@@ -13,19 +11,8 @@ FlatAdam::FlatAdam(AdamConfig config, int64_t shard_elems)
   v_.assign(static_cast<size_t>(shard_elems), 0.0f);
 }
 
-void FlatAdam::Step(const float* grad, float* master) {
+void FlatAdam::Step(const float* grad, float* master, double clip_scale) {
   ++step_;
-  double clip_scale = 1.0;
-  if (config_.grad_clip_norm > 0.0) {
-    double norm_sq = 0.0;
-    for (int64_t i = 0; i < shard_elems_; ++i) {
-      norm_sq += static_cast<double>(grad[i]) * grad[i];
-    }
-    const double norm = std::sqrt(norm_sq);
-    if (norm > config_.grad_clip_norm) {
-      clip_scale = config_.grad_clip_norm / norm;
-    }
-  }
   AdamUpdate(config_, step_, clip_scale, shard_elems_, grad, master, m_.data(), v_.data());
 }
 

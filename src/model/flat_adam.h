@@ -16,10 +16,12 @@ class FlatAdam {
  public:
   FlatAdam(AdamConfig config, int64_t shard_elems);
 
-  // One update of the local shard: master[i] -= lr * adam(grad[i]).
-  // `grad` and `master` hold shard_elems floats. Gradient clipping uses the
-  // local shard norm (callers needing the global norm pre-scale the grads).
-  void Step(const float* grad, float* master);
+  // One update of the local shard on grad * clip_scale: master[i] -=
+  // lr * adam(grad[i] * clip_scale). `grad` and `master` hold shard_elems
+  // floats. Clipping is global, so the caller forms clip_scale from the
+  // whole gradient's norm (AdamClipScale over the shards' partial sums);
+  // FlatAdam reads no grad_clip_norm itself.
+  void Step(const float* grad, float* master, double clip_scale);
 
   int64_t step_count() const { return step_; }
   int64_t shard_elems() const { return shard_elems_; }

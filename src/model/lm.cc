@@ -98,8 +98,7 @@ LmStepStats LmForwardBackward(const LmParams& params, const ModelConfig& config,
                               const std::vector<int64_t>& input_ids,
                               const std::vector<int64_t>& target_ids, int64_t batch,
                               LmParams* grads,
-                              const ActivationTransform& activation_transform,
-                              const LayerGradCallback& on_layer_grads) {
+                              const ActivationTransform& activation_transform) {
   MSMOE_CHECK_EQ(input_ids.size(), target_ids.size());
   MSMOE_CHECK_EQ(params.layers.size(), static_cast<size_t>(config.num_layers));
   const int64_t tokens = static_cast<int64_t>(input_ids.size());
@@ -135,9 +134,6 @@ LmStepStats LmForwardBackward(const LmParams& params, const ModelConfig& config,
         MoeLayerBackward(params.layers[static_cast<size_t>(l)], config, router,
                          caches[static_cast<size_t>(l)], dhidden, batch);
     grads->layers[static_cast<size_t>(l)].Accumulate(layer_grads.dparams);
-    if (on_layer_grads) {
-      on_layer_grads(l);
-    }
     dhidden = std::move(layer_grads.dhidden);
   }
 

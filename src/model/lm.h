@@ -48,14 +48,6 @@ struct LmStepStats {
 // activation flows, e.g. FP8 per-token quantization (§7).
 using ActivationTransform = std::function<void(Tensor&)>;
 
-// Optional hook fired during the backward pass right after layer l's
-// parameter gradients were accumulated into *grads (layers fire in backward
-// order: num_layers-1 down to 0). Lets a data-parallel trainer start layer
-// l's gradient sync while layers l-1..0 are still running backward (§5
-// inter-op overlap). Only meaningful when the caller runs a single
-// micro-batch — with gradient accumulation the layer grads are not final.
-using LayerGradCallback = std::function<void(int64_t layer)>;
-
 // Full forward + backward over `batch` sequences packed as token ids
 // [batch * seq_len]; targets are the next-token ids, same layout. Gradients
 // of the mean loss (CE + aux) are accumulated into *grads (caller zeroes or
@@ -65,8 +57,7 @@ LmStepStats LmForwardBackward(const LmParams& params, const ModelConfig& config,
                               const std::vector<int64_t>& input_ids,
                               const std::vector<int64_t>& target_ids, int64_t batch,
                               LmParams* grads,
-                              const ActivationTransform& activation_transform = nullptr,
-                              const LayerGradCallback& on_layer_grads = nullptr);
+                              const ActivationTransform& activation_transform = nullptr);
 
 // Forward only; returns mean CE loss (for eval).
 double LmForwardLoss(const LmParams& params, const ModelConfig& config,

@@ -103,6 +103,14 @@ void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64
 
 bool AdamUpdateUsesAvx2() { return ChosenAdamLoops().avx2; }
 
+double AdamClipScale(const AdamConfig& config, double norm_sq) {
+  if (config.grad_clip_norm <= 0.0) {
+    return 1.0;
+  }
+  const double norm = std::sqrt(norm_sq);
+  return norm > config.grad_clip_norm ? config.grad_clip_norm / norm : 1.0;
+}
+
 void AdamOptimizer::Register(Tensor* param) {
   MSMOE_CHECK(param != nullptr);
   MSMOE_CHECK_EQ(step_, 0) << "cannot register params after stepping";
@@ -112,23 +120,20 @@ void AdamOptimizer::Register(Tensor* param) {
 }
 
 void AdamOptimizer::Step(const std::vector<const Tensor*>& grads) {
-  MSMOE_CHECK_EQ(grads.size(), params_.size());
-  ++step_;
-
-  double clip_scale = 1.0;
+  double norm_sq = 0.0;
   if (config_.grad_clip_norm > 0.0) {
-    double norm_sq = 0.0;
     for (const Tensor* grad : grads) {
       for (int64_t i = 0; i < grad->numel(); ++i) {
         norm_sq += static_cast<double>((*grad)[i]) * (*grad)[i];
       }
     }
-    const double norm = std::sqrt(norm_sq);
-    if (norm > config_.grad_clip_norm) {
-      clip_scale = config_.grad_clip_norm / norm;
-    }
   }
+  Step(grads, AdamClipScale(config_, norm_sq));
+}
 
+void AdamOptimizer::Step(const std::vector<const Tensor*>& grads, double clip_scale) {
+  MSMOE_CHECK_EQ(grads.size(), params_.size());
+  ++step_;
   for (size_t p = 0; p < params_.size(); ++p) {
     Tensor& param = *params_[p];
     const Tensor& grad = *grads[p];

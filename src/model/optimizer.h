@@ -36,6 +36,10 @@ void AdamUpdate(const AdamConfig& config, int64_t step, double clip_scale, int64
 // True when AdamUpdate runs its AVX2 build on this machine.
 bool AdamUpdateUsesAvx2();
 
+// The gradient scale of global-norm clipping: grad_clip_norm / norm when
+// clipping is on and the norm sqrt(norm_sq) exceeds it, else 1.
+double AdamClipScale(const AdamConfig& config, double norm_sq);
+
 class AdamOptimizer {
  public:
   explicit AdamOptimizer(AdamConfig config) : config_(config) {}
@@ -45,7 +49,12 @@ class AdamOptimizer {
   void Register(Tensor* param);
 
   // Applies one update. grads must align one-to-one with registered params.
+  // Clipping uses the norm of all of grads, summed tensor by tensor in
+  // element order.
   void Step(const std::vector<const Tensor*>& grads);
+  // Applies one update on grads * clip_scale, for a caller that formed the
+  // clip scale itself (e.g. from a norm summed across shards).
+  void Step(const std::vector<const Tensor*>& grads, double clip_scale);
 
   int64_t step_count() const { return step_; }
   const AdamConfig& config() const { return config_; }

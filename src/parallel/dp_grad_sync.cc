@@ -105,38 +105,6 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
   }
 }
 
-std::unique_ptr<CommHandle> StartGradShardSync(Communicator& comm, int rank,
-                                               const float* grads, int64_t count,
-                                               float* shard_out, int num_chunks,
-                                               bool signal_now) {
-  const int n = comm.size();
-  MSMOE_CHECK_EQ(count % n, 0);
-  const int64_t shard = count / n;
-  std::unique_ptr<CommHandle> handle =
-      comm.StartReduceScatter(rank, grads, shard_out, shard, num_chunks);
-  if (signal_now) {
-    // The segment is already final: release every producer chunk up front;
-    // chunking still lets the transfer stream while the caller computes.
-    SignalGradSegmentReady(*handle);
-  }
-  return handle;
-}
-
-void SignalGradSegmentReady(CommHandle& handle) {
-  for (int c = 0; c < handle.num_chunks(); ++c) {
-    handle.SignalChunkReady(c);
-  }
-}
-
-void AllReduceGrads(Communicator& comm, int rank, float* grads, int64_t count,
-                    GradSyncMode mode) {
-  const int n = comm.size();
-  MSMOE_CHECK_EQ(count % n, 0);
-  float* shard = ThreadWorkspace().Floats("gradsync.shard", count / n);
-  SyncGradShardInto(comm, rank, grads, count, mode, shard);
-  comm.AllGather(rank, shard, grads, count / n);
-}
-
 int64_t GradSyncWireBytes(GradSyncMode mode, int64_t count, int n) {
   const int64_t shard = count / n;
   switch (mode) {

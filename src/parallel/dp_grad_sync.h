@@ -22,7 +22,6 @@
 #define MSMOE_SRC_PARALLEL_DP_GRAD_SYNC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/comm/communicator.h"
@@ -59,37 +58,6 @@ std::vector<float> SyncGradShard(Communicator& comm, int rank, const float* grad
 // no fresh memory.
 void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t count,
                        GradSyncMode mode, float* shard_out);
-
-// Nonblocking FP32 reduce-scatter of a gradient segment (the §5 inter-op
-// overlap primitive): the transfer runs chunk by chunk on the rank's
-// comm-proxy thread while the caller keeps computing (e.g. the remaining
-// layers' backward). WaitAll() on the returned handle blocks until
-// shard_out (count / n floats) holds this rank's summed shard; failures
-// surface there as the communicator's sticky status. Every rank must issue
-// the same Start sequence. The per-element reduction is identical to the
-// synchronous kFp32ReduceScatter path, so results are bitwise equal however
-// the gradient buffer is segmented.
-//
-// With signal_now = true the segment must already be final: every producer
-// chunk is released up front and the transfer streams immediately. With
-// signal_now = false the collective is only REGISTERED (producer-gated);
-// the caller fills `grads` later and releases it with
-// SignalGradSegmentReady — the graph-recorded trainer starts every
-// segment's sync before backward runs and signals per layer as gradients
-// become final.
-std::unique_ptr<CommHandle> StartGradShardSync(Communicator& comm, int rank,
-                                               const float* grads, int64_t count,
-                                               float* shard_out, int num_chunks,
-                                               bool signal_now = true);
-
-// Marks every chunk of a deferred (signal_now = false) segment sync as
-// final, releasing the comm-proxy thread to read the send buffer.
-void SignalGradSegmentReady(CommHandle& handle);
-
-// Convenience: full all-reduced gradients via shard sync + all-gather, so
-// trainers that keep replicated optimizer state can use any mode.
-void AllReduceGrads(Communicator& comm, int rank, float* grads, int64_t count,
-                    GradSyncMode mode);
 
 // Wire bytes each mode moves for `count` FP32 gradients on n ranks (per
 // rank-pair volume, for the Fig 10 "50% reduction" claim).

@@ -1,13 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <set>
+#include <string>
 
+#include "src/base/arena.h"
 #include "src/base/math_util.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/base/table.h"
 #include "src/base/units.h"
+
+// Every global operator new call in this binary (WorkspaceTest below).
+// Replaced together with the deletes that free its blocks, so a sanitizer's
+// own operators never see them.
+std::atomic<int64_t> g_operator_new_calls{0};
+
+void* operator new(std::size_t size) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+// GCC 12 takes any block reaching operator delete for one from its own
+// operator new and warns on the free; here both operators are replaced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#pragma GCC diagnostic pop
 
 namespace msmoe {
 namespace {
@@ -185,6 +210,23 @@ TEST(StatusTest, IsRetryableFaultCoversExactlyTheTransientCodes) {
   EXPECT_FALSE(IsRetryableFault(FailedPrecondition("stale epoch")));
   EXPECT_FALSE(IsRetryableFault(Internal("bug")));
   EXPECT_FALSE(IsRetryableFault(Status::Ok()));
+}
+
+TEST(WorkspaceTest, LongTagLookupAllocatesOnlyOnFirstUse) {
+  // A tag longer than std::string's inline buffer (15 characters in
+  // libstdc++) must not build a heap key on every lookup.
+  const char* tag = "base_test.workspace1";
+  ASSERT_EQ(std::string(tag).size(), 20u);
+  Workspace& ws = ThreadWorkspace();
+  float* first = ws.Floats(tag, 64);
+  bool same_buffer = true;
+  const int64_t before = g_operator_new_calls.load();
+  for (int i = 0; i < 100; ++i) {
+    same_buffer = same_buffer && ws.Floats(tag, 64) == first;
+  }
+  const int64_t allocations = g_operator_new_calls.load() - before;
+  EXPECT_TRUE(same_buffer);
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

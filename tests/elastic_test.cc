@@ -128,7 +128,7 @@ TEST(RecoveryPolicyTest, ValidateRejectsDegenerateConfigs) {
 // --- ElasticComm: membership epochs ------------------------------------------
 
 TEST(ElasticCommTest, ShrinkRemapsSurvivorsDenseAndOrderPreserving) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/4);
+  ElasticComm elastic(/*world_size=*/4);
   EXPECT_EQ(elastic.size(), 4);
   EXPECT_EQ(elastic.epoch(), 0);
   Communicator* old_comm = elastic.comm();
@@ -159,7 +159,7 @@ TEST(ElasticCommTest, ShrinkRemapsSurvivorsDenseAndOrderPreserving) {
 }
 
 TEST(ElasticCommTest, StaleEpochFailsLoudlyInsteadOfDeadlocking) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   Communicator* old_comm = elastic.comm();
 
   std::vector<std::thread> threads;
@@ -195,7 +195,7 @@ TEST(ElasticCommTest, StaleEpochFailsLoudlyInsteadOfDeadlocking) {
 }
 
 TEST(ElasticCommTest, MismatchedDeadSetPoisonsTheWholeRound) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/4);
+  ElasticComm elastic(/*world_size=*/4);
   elastic.SetCollectiveTimeout(200.0);
   std::vector<Status> results(3, Status::Ok());
   std::vector<std::thread> threads;
@@ -221,7 +221,7 @@ TEST(ElasticCommTest, MismatchedDeadSetPoisonsTheWholeRound) {
 }
 
 TEST(ElasticCommTest, GrowReadmitsRepairedRank) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   {
     std::vector<std::thread> threads;
     for (int rank : {0, 1}) {
@@ -250,7 +250,7 @@ TEST(ElasticCommTest, GrowReadmitsRepairedRank) {
 }
 
 TEST(ElasticCommTest, RendezvousTimesOutWhenASurvivorNeverArrives) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   elastic.SetCollectiveTimeout(100.0);
   // Only rank 0 shows up; rank 1 (the other survivor) never does.
   const Status result = elastic.Shrink(0, {2});
@@ -260,7 +260,7 @@ TEST(ElasticCommTest, RendezvousTimesOutWhenASurvivorNeverArrives) {
 }
 
 TEST(ElasticCommTest, ShrinkValidatesTheTransition) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   EXPECT_EQ(elastic.Shrink(0, {}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(elastic.Shrink(0, {0}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(elastic.Shrink(0, {7}).code(), StatusCode::kInvalidArgument);
@@ -515,19 +515,17 @@ TEST(ElasticTrainerTest, PermanentCrashShrinksAndMatchesFreshSmallerWorld) {
 }
 
 TEST(ElasticTrainerTest, PermanentCrashReshardsZeroOptimizerState) {
-  // Same shrink, with ZeRO-1 sharded masters/moments: the snapshot is
-  // gathered at W=3 boundaries and restored at W=2 boundaries, so bitwise
-  // agreement with the fresh W=2 run proves the reshard path exact.
-  NumericTrainConfig small_config = ElasticBaseConfig(2);
-  small_config.zero_shard_optimizer = true;
-  const TrainCurve fresh_small = TrainLm(small_config);
+  // A shrink one step later than the test above: the masters and moments
+  // were sharded at W=3 boundaries and are restored at W=2 boundaries from
+  // the snapshot table, so bitwise agreement with the fresh W=2 run proves
+  // the reshard path exact. Op 3 is step 1's all-gather.
+  const TrainCurve fresh_small = TrainLm(ElasticBaseConfig(2));
 
   FaultPlan plan(5);
-  plan.AddCrash(/*rank=*/1, /*at_op=*/6);
-  plan.AddCrash(/*rank=*/1, /*at_op=*/7);
-  plan.AddCrash(/*rank=*/1, /*at_op=*/8);
+  plan.AddCrash(/*rank=*/1, /*at_op=*/3);
+  plan.AddCrash(/*rank=*/1, /*at_op=*/4);
+  plan.AddCrash(/*rank=*/1, /*at_op=*/5);
   NumericTrainConfig faulty_config = ElasticBaseConfig(3);
-  faulty_config.zero_shard_optimizer = true;
   faulty_config.fault_plan = &plan;
   const TrainCurve shrunk = TrainLm(faulty_config);
 
@@ -610,8 +608,7 @@ TEST(ElasticTrainerTest, ConfigValidationRejectsContradictions) {
   EXPECT_FALSE(ValidateNumericTrainConfig(config).ok());
 
   config = ElasticBaseConfig(2);
-  config.init_checkpoint_path = "x.bin";
-  config.zero_shard_optimizer = true;  // file checkpoints hold replicated state
+  config.zero_shard_optimizer = false;  // the replicated layout is gone
   EXPECT_FALSE(ValidateNumericTrainConfig(config).ok());
 
   config = ElasticBaseConfig(2);

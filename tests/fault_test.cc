@@ -874,29 +874,8 @@ TEST(TrainerRecoveryTest, CollectiveTimeoutTriggersRecoveryNotAHang) {
   ExpectBitIdenticalLoss(clean, recovered);
 }
 
-TEST(TrainerRecoveryTest, HierarchicalBackendRecoversFromCrash) {
-  NumericTrainConfig clean_config = SmallTrainConfig();
-  clean_config.dp_size = 4;
-  clean_config.comm_backend = CommBackend::kHierarchical;
-  clean_config.gpus_per_node = 2;
-  clean_config.steps = 8;
-  clean_config.checkpoint_every = 3;
-  const TrainCurve clean = TrainLm(clean_config);
-
-  FaultPlan plan(6);
-  plan.AddCrash(/*rank=*/3, /*at_op=*/9);
-  NumericTrainConfig faulty_config = clean_config;
-  faulty_config.fault_plan = &plan;
-  const TrainCurve recovered = TrainLm(faulty_config);
-
-  ASSERT_EQ(recovered.recoveries.size(), 1u);
-  EXPECT_EQ(plan.crashes_fired(), 1);
-  ExpectBitIdenticalLoss(clean, recovered);
-}
-
 TEST(TrainerRecoveryTest, ZeroShardedRunRecoversFromInMemorySnapshots) {
   NumericTrainConfig clean_config = SmallTrainConfig();
-  clean_config.zero_shard_optimizer = true;
   clean_config.steps = 10;
   clean_config.checkpoint_every = 3;
   const TrainCurve clean = TrainLm(clean_config);

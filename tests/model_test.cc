@@ -751,7 +751,7 @@ TEST(OptimizerTest, SharedUpdateBitwiseEqualsScalarLoop) {
       for (Tensor& param : params) {
         adam.Register(&param);
       }
-      // FlatAdam over the concatenation, clipped by its own (whole) norm.
+      // FlatAdam over the concatenation, clipped by the concatenation's norm.
       const int64_t total = std::accumulate(sizes.begin(), sizes.end(), int64_t{0});
       FlatAdam flat(config, total);
       std::vector<float> flat_master, flat_oracle, flat_m(static_cast<size_t>(total)),
@@ -781,10 +781,11 @@ TEST(OptimizerTest, SharedUpdateBitwiseEqualsScalarLoop) {
                          m[p].data(), v[p].data());
           EXPECT_TRUE(SameBits(params[p], oracle[p])) << where << " step " << step;
         }
-        flat.Step(flat_grad.data(), flat_master.data());
         Tensor flat_grad_tensor = Tensor::FromVector({total}, flat_grad);
-        ScalarAdamLoop(config, step, ClipScale(config, {&flat_grad_tensor}), total,
-                       flat_grad.data(), flat_oracle.data(), flat_m.data(), flat_v.data());
+        const double flat_clip_scale = ClipScale(config, {&flat_grad_tensor});
+        flat.Step(flat_grad.data(), flat_master.data(), flat_clip_scale);
+        ScalarAdamLoop(config, step, flat_clip_scale, total, flat_grad.data(),
+                       flat_oracle.data(), flat_m.data(), flat_v.data());
         EXPECT_EQ(std::memcmp(flat_master.data(), flat_oracle.data(),
                               flat_master.size() * sizeof(float)),
                   0)
@@ -836,7 +837,7 @@ TEST(OptimizerTest, UpdateBitwiseAcrossWorkerCounts) {
         FlatAdam flat(config, n);
         for (const Tensor& grad : grads) {
           adam.Step({&grad});
-          flat.Step(grad.data(), master.data());
+          flat.Step(grad.data(), master.data(), ClipScale(config, {&grad}));
         }
         std::vector<float> out = Concat({&param});
         out.insert(out.end(), master.begin(), master.end());

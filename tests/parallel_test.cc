@@ -598,23 +598,6 @@ TEST(GradSyncTest, RingBf16WorseThanAllToAllBf16) {
   EXPECT_GT(ring_sum, a2a_sum * 2.0) << ring_sum << " vs " << a2a_sum;
 }
 
-TEST(GradSyncTest, AllReduceGradsConsistentAcrossModes) {
-  const int n = 4;
-  const int64_t count = 32;
-  FlatCommunicator group(n);
-  std::vector<std::vector<float>> out(n);
-  RunOnRanks(n, [&](int rank) {
-    std::vector<float> grads(static_cast<size_t>(count), static_cast<float>(rank + 1));
-    AllReduceGrads(group, rank, grads.data(), count, GradSyncMode::kFp32ReduceScatter);
-    out[static_cast<size_t>(rank)] = grads;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (float v : out[rank]) {
-      EXPECT_EQ(v, 10.0f);  // 1+2+3+4
-    }
-  }
-}
-
 TEST(GradSyncTest, WireBytesHalved) {
   const int64_t count = 1 << 20;
   const int n = 8;

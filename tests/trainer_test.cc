@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/base/arena.h"
@@ -9,6 +10,7 @@
 #include "src/core/trainer.h"
 #include "src/model/checkpoint.h"
 #include "src/model/flat_adam.h"
+#include "tests/reference_trainer.h"
 #include "tests/worker_widths.h"
 
 namespace msmoe {
@@ -47,7 +49,7 @@ TEST(FlatAdamTest, MatchesTensorAdamOnSameProblem) {
       grad[i] = static_cast<float>(rng.NextGaussian());
     }
     tensor_adam.Step({&grad});
-    flat_adam.Step(grad.data(), flat.data());
+    flat_adam.Step(grad.data(), flat.data(), 1.0);
     for (int64_t i = 0; i < 6; ++i) {
       EXPECT_FLOAT_EQ(flat[static_cast<size_t>(i)], x[i]) << step << " " << i;
     }
@@ -59,7 +61,7 @@ TEST(FlatAdamTest, SaveLoadRoundTrip) {
   FlatAdam adam(config, 4);
   std::vector<float> master(4, 1.0f);
   std::vector<float> grad = {0.1f, -0.2f, 0.3f, 0.4f};
-  adam.Step(grad.data(), master.data());
+  adam.Step(grad.data(), master.data(), 1.0);
   const std::vector<float> state = adam.SaveState();
 
   FlatAdam fresh(config, 4);
@@ -67,27 +69,71 @@ TEST(FlatAdamTest, SaveLoadRoundTrip) {
   EXPECT_EQ(fresh.step_count(), 1);
   std::vector<float> master_a = master;
   std::vector<float> master_b = master;
-  adam.Step(grad.data(), master_a.data());
-  fresh.Step(grad.data(), master_b.data());
+  adam.Step(grad.data(), master_a.data(), 1.0);
+  fresh.Step(grad.data(), master_b.data(), 1.0);
   EXPECT_EQ(master_a, master_b);
 }
 
-TEST(ZeroShardingTest, MatchesReplicatedOptimizer) {
-  // ZeRO-1 sharded masters + FP32 param gather must follow the replicated
-  // trajectory exactly (same FP32 math, just distributed).
-  NumericTrainConfig replicated = SmallConfig();
-  NumericTrainConfig zero = SmallConfig();
-  zero.zero_shard_optimizer = true;
-  const TrainCurve a = TrainLm(replicated);
-  const TrainCurve b = TrainLm(zero);
-  for (size_t i = 0; i < a.loss.size(); ++i) {
-    EXPECT_NEAR(a.loss[i], b.loss[i], 1e-6) << i;
+void ExpectSameLossBits(const std::vector<double>& want, const std::vector<double>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
+        << "step " << i << ": " << want[i] << " vs " << got[i];
   }
+}
+
+TEST(ZeroShardingTest, MatchesReplicatedOracleBitwise) {
+  // The sharded step with an FP32 parameter gather is the replicated
+  // optimizer, bit for bit (tests/reference_trainer.h), on every precision,
+  // wire, world size and loop option the trainer has.
+  struct Case {
+    const char* name;
+    void (*apply)(NumericTrainConfig&);
+  };
+  const Case cases[] = {
+      {"fp32", [](NumericTrainConfig&) {}},
+      {"bf16", [](NumericTrainConfig& c) { c.precision = TrainPrecision::kBf16; }},
+      {"fp8", [](NumericTrainConfig& c) { c.precision = TrainPrecision::kFp8; }},
+      {"bf16 all-to-all",
+       [](NumericTrainConfig& c) {
+         c.precision = TrainPrecision::kBf16;
+         c.grad_sync = GradSyncMode::kBf16AllToAll;
+       }},
+      {"bf16 ring", [](NumericTrainConfig& c) { c.grad_sync = GradSyncMode::kBf16RingReduce; }},
+      {"dp 1", [](NumericTrainConfig& c) { c.dp_size = 1; }},
+      {"dp 3 (padded shards)",
+       [](NumericTrainConfig& c) {
+         c.dp_size = 3;
+         c.grad_sync = GradSyncMode::kBf16RingReduce;
+       }},
+      {"accumulation 3", [](NumericTrainConfig& c) { c.grad_accum_steps = 3; }},
+      {"warmup 5", [](NumericTrainConfig& c) { c.warmup_steps = 5; }},
+      {"restart every 4", [](NumericTrainConfig& c) { c.restart_every = 4; }},
+      {"weight decay", [](NumericTrainConfig& c) { c.adam.weight_decay = 0.1; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    NumericTrainConfig config = SmallConfig();
+    config.steps = 8;
+    c.apply(config);
+    ExpectSameLossBits(ReferenceTrainLoss(config), TrainLm(config).loss);
+  }
+}
+
+TEST(ZeroShardingTest, GlobalNormClippingMatchesOracleBitwise) {
+  // Clipping scales by the norm of the whole gradient: each shard's sum of
+  // squares, summed in rank order, not the owner's shard alone.
+  NumericTrainConfig config = SmallConfig();
+  config.steps = 8;
+  NumericTrainConfig clipped = config;
+  clipped.adam.grad_clip_norm = 0.05;  // below every step's gradient norm
+  const std::vector<double> loss = TrainLm(clipped).loss;
+  ExpectSameLossBits(ReferenceTrainLoss(clipped), loss);
+  EXPECT_NE(loss, TrainLm(config).loss) << "the clip never fired";
 }
 
 TEST(ZeroShardingTest, Bf16ParamGatherStillConverges) {
   NumericTrainConfig config = SmallConfig();
-  config.zero_shard_optimizer = true;
   config.param_gather_precision = TrainPrecision::kBf16;
   config.steps = 25;
   const TrainCurve curve = TrainLm(config);
@@ -98,7 +144,6 @@ TEST(ZeroShardingTest, Fp8ParamGatherTracksFp32) {
   // §7: storing FP8 parameters halves the all-gather; the loss must stay
   // close to the FP32-gather run.
   NumericTrainConfig fp32 = SmallConfig();
-  fp32.zero_shard_optimizer = true;
   fp32.steps = 20;
   NumericTrainConfig fp8 = fp32;
   fp8.param_gather_precision = TrainPrecision::kFp8;
@@ -114,8 +159,8 @@ TEST(ZeroShardingTest, LossCurveBitwiseAcrossWorkerCounts) {
   // The step benchmark's zero_dp step (stepbench/step_bench.cc): its model,
   // BF16 compute copy, BF16 all-to-all gradient sync and BF16 parameter
   // all-gather, so the loops split across each rank's team run at their
-  // real sizes. Then the same step with an FP8 parameter all-gather, and
-  // with the replicated optimizer.
+  // real sizes. Then the same step with an FP8 and an FP32 parameter
+  // all-gather.
   NumericTrainConfig config;
   config.model = TinyMoeConfig(8, 2);
   config.model.num_layers = 2;
@@ -133,18 +178,16 @@ TEST(ZeroShardingTest, LossCurveBitwiseAcrossWorkerCounts) {
   config.steps = 5;
   config.precision = TrainPrecision::kBf16;
   config.grad_sync = GradSyncMode::kBf16AllToAll;
-  config.zero_shard_optimizer = true;
   config.param_gather_precision = TrainPrecision::kBf16;
   ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
   config.param_gather_precision = TrainPrecision::kFp8;
   ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
-  config.zero_shard_optimizer = false;
+  config.param_gather_precision = TrainPrecision::kFp32;
   ExpectSameBitsAtWidths([&] { return TrainLm(config).loss; });
 }
 
 TEST(ZeroShardingTest, RestartsStillSeamless) {
   NumericTrainConfig smooth = SmallConfig();
-  smooth.zero_shard_optimizer = true;
   smooth.steps = 12;
   NumericTrainConfig restarted = smooth;
   restarted.restart_every = 4;
@@ -156,69 +199,15 @@ TEST(ZeroShardingTest, RestartsStillSeamless) {
   }
 }
 
-TEST(CommBackendTest, HierarchicalBackendMatchesFlatTrajectory) {
-  // Swapping the collective backend is pure wiring: the 2-level communicator
-  // must reproduce the flat trajectory exactly (same deterministic
-  // rank-order reductions underneath).
-  NumericTrainConfig flat = SmallConfig();
-  flat.dp_size = 4;
-  NumericTrainConfig hier = flat;
-  hier.comm_backend = CommBackend::kHierarchical;
-  hier.gpus_per_node = 2;
-  const TrainCurve a = TrainLm(flat);
-  const TrainCurve b = TrainLm(hier);
-  ASSERT_EQ(a.loss.size(), b.loss.size());
-  for (size_t i = 0; i < a.loss.size(); ++i) {
-    EXPECT_NEAR(a.loss[i], b.loss[i], 1e-7) << i;
-  }
-}
-
-TEST(GradSyncOverlapTest, OverlappedTrajectoryBitIdenticalToSynchronous) {
-  // §5 inter-op overlap: moving each layer's gradient reduce-scatter onto
-  // the comm-proxy thread (mid-backward) must not change a single bit of
-  // the loss curve — per-element ring reductions are segmentation- and
-  // timing-independent.
-  NumericTrainConfig synchronous = SmallConfig();
-  NumericTrainConfig overlapped = synchronous;
-  overlapped.overlap_grad_sync = true;
-  const TrainCurve a = TrainLm(synchronous);
-  const TrainCurve b = TrainLm(overlapped);
-  ASSERT_EQ(a.loss.size(), b.loss.size());
-  for (size_t i = 0; i < a.loss.size(); ++i) {
-    EXPECT_EQ(a.loss[i], b.loss[i]) << i;
-  }
-}
-
-TEST(GradSyncOverlapTest, OverlapPlusZeroShardIsAConfigError) {
-  // Requesting overlap together with ZeRO-1 used to silently train WITHOUT
-  // overlap; it is now rejected up front so the caller learns the requested
-  // behavior cannot be honored.
+TEST(ZeroShardingTest, ReplicatedLayoutIsAConfigError) {
+  // The replicated optimizer layout is gone; asking for it fails loudly
+  // instead of quietly training sharded.
   NumericTrainConfig config = SmallConfig();
-  config.overlap_grad_sync = true;
-  config.zero_shard_optimizer = true;
+  EXPECT_TRUE(ValidateNumericTrainConfig(config).ok());
+  config.zero_shard_optimizer = false;
   const Status status = ValidateNumericTrainConfig(config);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("overlap_grad_sync"), std::string::npos);
-
-  // Either flag alone stays valid.
-  config.zero_shard_optimizer = false;
-  EXPECT_TRUE(ValidateNumericTrainConfig(config).ok());
-  config.overlap_grad_sync = false;
-  config.zero_shard_optimizer = true;
-  EXPECT_TRUE(ValidateNumericTrainConfig(config).ok());
-}
-
-TEST(GradSyncOverlapTest, ChunkCountDoesNotChangeTheTrajectory) {
-  NumericTrainConfig two = SmallConfig();
-  two.overlap_grad_sync = true;
-  NumericTrainConfig four = two;
-  four.overlap_grad_chunks = 4;
-  const TrainCurve a = TrainLm(two);
-  const TrainCurve b = TrainLm(four);
-  ASSERT_EQ(a.loss.size(), b.loss.size());
-  for (size_t i = 0; i < a.loss.size(); ++i) {
-    EXPECT_EQ(a.loss[i], b.loss[i]) << i;
-  }
+  EXPECT_NE(status.message().find("replicated"), std::string::npos);
 }
 
 TEST(GradAccumulationTest, LossRecordedAndConverges) {
@@ -299,6 +288,59 @@ class CheckpointTest : public ::testing::Test {
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
 };
+
+TEST_F(CheckpointTest, EveryRunWritesItsWholeUnshardedState) {
+  // A fault-free run with a checkpoint path writes its initial snapshot:
+  // the parameters and the [step, masters, m, v] blob, unsharded.
+  NumericTrainConfig config = SmallConfig();
+  config.steps = 2;
+  config.checkpoint_path = path_;
+  TrainLm(config);
+  Result<Checkpoint> loaded = LoadCheckpoint(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Rng rng(config.seed);
+  const std::vector<float> init = FlattenParams(LmParams::Init(config.model, rng));
+  EXPECT_EQ(loaded.value().params, init);
+  const std::vector<float>& blob = loaded.value().optimizer_state;
+  const size_t total = init.size();
+  ASSERT_EQ(blob.size(), 1 + 3 * total);
+  EXPECT_EQ(blob[0], 0.0f);
+  EXPECT_EQ(std::vector<float>(blob.begin() + 1, blob.begin() + 1 + total), init);
+  EXPECT_EQ(std::vector<float>(blob.begin() + 1 + total, blob.end()),
+            std::vector<float>(2 * total, 0.0f));
+}
+
+TEST_F(CheckpointTest, WarmedUpStateContinuesFromTheFile) {
+  // After warmup steps the moments live on their owners, so the initial
+  // file is assembled from every rank's snapshot entry. A run started from
+  // that file replays the warmed-up run's curve bit for bit, and a run on a
+  // larger world reshards it (its first loss is computed on the same
+  // parameters and rank 0's same batch).
+  NumericTrainConfig warmed = SmallConfig();
+  warmed.steps = 4;
+  warmed.warmup_steps = 3;
+  warmed.param_gather_precision = TrainPrecision::kBf16;  // masters != params
+  warmed.checkpoint_path = path_;
+  const TrainCurve want = TrainLm(warmed);
+  Result<Checkpoint> loaded = LoadCheckpoint(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().optimizer_state[0], 3.0f);
+
+  // The continued run's own initial file is the state it loaded.
+  NumericTrainConfig continued = warmed;
+  continued.warmup_steps = 0;
+  continued.checkpoint_path = path_ + ".continued";
+  continued.init_checkpoint_path = path_;
+  EXPECT_EQ(TrainLm(continued).loss, want.loss);
+  Result<Checkpoint> rewritten = LoadCheckpoint(continued.checkpoint_path);
+  std::remove(continued.checkpoint_path.c_str());
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_EQ(rewritten.value().params, loaded.value().params);
+  EXPECT_EQ(rewritten.value().optimizer_state, loaded.value().optimizer_state);
+  continued.checkpoint_path.clear();
+  continued.dp_size = 3;
+  EXPECT_EQ(TrainLm(continued).loss[0], want.loss[0]);
+}
 
 TEST_F(CheckpointTest, RoundTrip) {
   ModelConfig config = TinyMoeConfig(2, 1);

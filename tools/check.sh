@@ -23,7 +23,9 @@
 # property_test / macro_layer_test / distributed_lm_test under ASan cover
 # the Workspace-staged dispatch packing and receive staging;
 # the Release stage fails if compiling the src libraries prints any
-# warning, the perf smoke fails if the blocked GEMM kernel ever regresses
+# warning, the step-benchmark smoke fails if stepbench/ stops building
+# against src or either workload's one-second run (plain and traced)
+# reports an incorrect result or a failed step, the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
 # scheduler smoke fails if a searched schedule replayed on the real
@@ -109,6 +111,22 @@ if grep -q "warning:" build-release/src-build.log; then
   echo "Release build of src printed compiler warnings (build-release/src-build.log)"
   exit 1
 fi
+
+echo
+echo "== step-benchmark smoke: stepbench builds against src, both workloads correct (run.py --seconds 1) =="
+for workload in zero_dp sp_ep; do
+  for trace in 0 1; do
+    result=$(python3 stepbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace "$trace" | tail -n 1)
+    echo "$workload --trace $trace: $result"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+      echo "step-benchmark smoke failed: $workload --trace $trace"
+      exit 1
+    fi
+  done
+done
 
 echo
 echo "== perf smoke: Release blocked GEMM >= naive (bench_micro_kernels --check) =="
